@@ -47,9 +47,10 @@ void RqsAcceptor::on_message(ProcessId from, const sim::Message& m) {
       const auto& dec = static_cast<const DecisionMsg&>(m);
       // Fig. 14 line 8: a quorum of decision messages stops the timer.
       ProcessSet& senders = decision_senders_[dec.value];
-      if (config_.acceptors.contains(from)) senders.insert(from);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (q.set.subset_of(senders)) {
+      if (!config_.acceptors.contains(from) || senders.contains(from)) return;
+      senders.insert(from);
+      for (const QuorumId qid : config_.rqs->quorums_containing(from)) {
+        if (config_.rqs->quorum_set(qid).subset_of(senders)) {
           suspect_stopped_ = true;
           if (suspect_armed_) cancel_timer(suspect_timer_);
           break;
@@ -90,7 +91,7 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
     if (config_.retry.enabled && prep_ == m.value &&
         prepview_.find(view_) != prepview_.end() &&
         (view_ == 0 || from == config_.leader_of(view_))) {
-      send_update(1, prep_, view_, kInvalidQuorum);
+      send_update(1, prep_, view_, {});
     }
     return;
   }
@@ -109,7 +110,7 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
     prepview_ = {view_};
   }
   // Line 33: echo with update1.
-  send_update(1, m.value, view_, kInvalidQuorum);
+  send_update(1, m.value, view_, {});
 }
 
 void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
@@ -120,45 +121,50 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
   if (m.value != prep_ || prepview_.find(view_) == prepview_.end()) return;
 
   ProcessSet& senders = update_senders_[{m.step, m.view, m.value}];
+  if (senders.contains(from)) return;  // a repeat covers nothing new
   senders.insert(from);
 
-  // "received from some quorum Q": act on every quorum newly covered.
-  for (QuorumId qid = 0; qid < config_.rqs->quorum_count(); ++qid) {
+  // "received from some quorum Q": only quorums containing `from` can be
+  // newly covered, and every quorum covered earlier is already in UpdateQ.
+  const RoundNumber step = m.step;
+  std::set<QuorumId>* known = nullptr;
+  bool fresh = false;
+  for (const QuorumId qid : config_.rqs->quorums_containing(from)) {
     if (!config_.rqs->quorum_set(qid).subset_of(senders)) continue;
-    const RoundNumber step = m.step;
-    // Lines 34-35.
-    if (update_[step] == m.value) {
-      updateview_[step].insert(view_);
-    } else {
-      update_[step] = m.value;
-      updateview_[step] = {view_};
-      for (auto it = updateq_.begin(); it != updateq_.end();) {
-        it = (it->first.first == step) ? updateq_.erase(it) : std::next(it);
+    if (known == nullptr) {
+      // Lines 34-35.
+      if (update_[step] == m.value) {
+        updateview_[step].insert(view_);
+      } else {
+        update_[step] = m.value;
+        updateview_[step] = {view_};
+        std::erase_if(updateq_, [step](const auto& e) { return e.first.first == step; });
+        std::erase_if(updateproof_,
+                      [step](const auto& e) { return e.first.first == step; });
       }
-      for (auto it = updateproof_.begin(); it != updateproof_.end();) {
-        it = (it->first.first == step) ? updateproof_.erase(it) : std::next(it);
-      }
+      known = &updateq_[{step, view_}];
     }
-    // Lines 36-38.
-    std::set<QuorumId>& known = updateq_[{step, view_}];
-    const bool fresh_quorum =
-        (step == 1 && known.find(qid) == known.end()) ||
-        (step == 2 && known.empty());
-    if (fresh_quorum) {
-      known.insert(qid);
-      send_update(step + 1, m.value, view_, qid);
+    // Lines 36-38: update2 goes out for every newly covered quorum, update3
+    // for the first one only.
+    if (step == 1) {
+      fresh |= known->insert(qid).second;
+    } else if (known->empty()) {
+      known->insert(qid);
+      fresh = true;
     }
   }
+  // One message carries all of this delivery's newly covered quorums.
+  if (fresh) send_update(step + 1, m.value, view_, senders);
 }
 
 void RqsAcceptor::send_update(RoundNumber step, Value v, ViewNumber view,
-                              QuorumId quorum) {
+                              ProcessSet covered) {
   for (const ProcessId target : config_.acceptors_and_learners()) {
     auto msg = make_msg<UpdateMsg>();
     msg->step = step;
     msg->value = update_value_for(v, target, step);
     msg->view = view;
-    msg->quorum = quorum;
+    msg->covered = covered;
     send(target, std::move(msg));
   }
   old_.insert(SignedUpdate::payload(v, view, step));
@@ -312,14 +318,20 @@ bool RqsAcceptor::ack_signatures_valid(const NewViewAckData& ack) const {
 
 bool RqsAcceptor::view_proof_valid(const std::vector<SignedViewChange>& proof,
                                    ViewNumber view) const {
+  // A quorum completes on the signature of one of its members, so each new
+  // signer needs only its own quorums checked, and the signatures past the
+  // first complete quorum need no verifying.
   ProcessSet signers;
   for (const SignedViewChange& vc : proof) {
     if (vc.next_view != view) continue;
     if (!config_.authority->verify(vc.signature, vc.signer, vc.payload())) continue;
-    if (config_.acceptors.contains(vc.signer)) signers.insert(vc.signer);
-  }
-  for (const Quorum& q : config_.rqs->quorums()) {
-    if (q.set.subset_of(signers)) return true;
+    if (!config_.acceptors.contains(vc.signer) || signers.contains(vc.signer)) {
+      continue;
+    }
+    signers.insert(vc.signer);
+    for (const QuorumId qid : config_.rqs->quorums_containing(vc.signer)) {
+      if (config_.rqs->quorum_set(qid).subset_of(signers)) return true;
+    }
   }
   return false;
 }

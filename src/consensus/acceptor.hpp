@@ -52,7 +52,7 @@ class RqsAcceptor : public sim::Process {
   void begin_new_view_ack(ProcessId from, ViewNumber view);
   void handle_sign_req(ProcessId from, const SignReqMsg& m);
   void handle_sign_ack(ProcessId from, const SignAckMsg& m);
-  void send_update(RoundNumber step, Value v, ViewNumber view, QuorumId quorum);
+  void send_update(RoundNumber step, Value v, ViewNumber view, ProcessSet covered);
   void try_complete_pending_ack();
   void on_decided(Value v);
   [[nodiscard]] bool vproof_valid(const VProof& vproof, ProcessSet q) const;

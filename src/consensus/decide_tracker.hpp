@@ -3,11 +3,16 @@
 //   - the same update1<v, view, *>  from a class 1 quorum,
 //   - the same update2<v, view, Q2> from Q2 itself (a class 2 quorum), or
 //   - the same update3<v, view, *>  from any quorum.
+//
+// A quorum can only become complete on a message from one of its members,
+// so every rule scans just quorums_containing(sender), and a sender that
+// is already counted changes nothing.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <tuple>
+#include <vector>
 
 #include "consensus/messages.hpp"
 #include "core/rqs.hpp"
@@ -21,41 +26,34 @@ class DecideTracker {
   /// Feeds an update message received from `sender`; returns the decided
   /// value when one of the three rules fires (first firing only).
   std::optional<Value> feed(ProcessId sender, const UpdateMsg& m) {
-    if (decided_) return std::nullopt;
+    if (decided_ || sender >= rqs_->universe_size()) return std::nullopt;
     switch (m.step) {
-      case 1: {
-        ProcessSet& senders = update1_[{m.view, m.value}];
-        senders.insert(sender);
-        for (const QuorumId q1 : rqs_->class1_ids()) {
-          if (rqs_->quorum_set(q1).subset_of(senders)) {
-            return decide(m.value, 1, m.view);
-          }
-        }
-        return std::nullopt;
-      }
+      case 1:
+        return feed_senders(update1_[{m.view, m.value}], sender,
+                            QuorumClass::Class1, m);
       case 2: {
-        // The quorum id inside the message must match the sender set:
-        // "the same update2<v, view, Q2> from Q2 in QC2".
-        if (m.quorum == kInvalidQuorum || m.quorum >= rqs_->quorum_count()) {
-          return std::nullopt;
+        // One update2 with covered set S is update2<v, view, Q> for every
+        // Q subset of S. Rule 2 credits the sender to each class <= 2
+        // quorum it belongs to that S contains; "the same update2<v, view,
+        // Q2> from Q2" is a quorum credited by all its members.
+        if (!m.covered.subset_of(ProcessSet::universe(rqs_->universe_size()))) {
+          return std::nullopt;  // malformed
         }
-        const Quorum& q2 = rqs_->quorum(m.quorum);
-        if (q2.cls == QuorumClass::Class3) return std::nullopt;
-        ProcessSet& senders = update2_[{m.view, m.value, m.quorum}];
-        senders.insert(sender);
-        if (rqs_->quorum_set(m.quorum).subset_of(senders)) {
-          return decide(m.value, 2, m.view);
-        }
-        return std::nullopt;
-      }
-      case 3: {
-        ProcessSet& senders = update3_[{m.view, m.value}];
-        senders.insert(sender);
-        for (const Quorum& q : rqs_->quorums()) {
-          if (q.set.subset_of(senders)) return decide(m.value, 3, m.view);
+        std::vector<ProcessSet>& credits = update2_[{m.view, m.value}];
+        if (credits.empty()) credits.resize(rqs_->quorum_count());
+        for (const QuorumId qid : rqs_->quorums_containing(sender)) {
+          const Quorum& q2 = rqs_->quorum(qid);
+          if (q2.cls == QuorumClass::Class3 || !q2.set.subset_of(m.covered)) {
+            continue;
+          }
+          credits[qid].insert(sender);
+          if (credits[qid] == q2.set) return decide(m.value, 2, m.view);
         }
         return std::nullopt;
       }
+      case 3:
+        return feed_senders(update3_[{m.view, m.value}], sender,
+                            QuorumClass::Class3, m);
       default:
         return std::nullopt;
     }
@@ -78,13 +76,29 @@ class DecideTracker {
     return v;
   }
 
+  /// Rules 1 and 3: counts `sender` and decides once some quorum of class
+  /// <= `max_class` containing it has been heard from in full.
+  std::optional<Value> feed_senders(ProcessSet& senders, ProcessId sender,
+                                    QuorumClass max_class, const UpdateMsg& m) {
+    if (senders.contains(sender)) return std::nullopt;
+    senders.insert(sender);
+    for (const QuorumId qid : rqs_->quorums_containing(sender)) {
+      const Quorum& q = rqs_->quorum(qid);
+      if (q.cls <= max_class && q.set.subset_of(senders)) {
+        return decide(m.value, m.step, m.view);
+      }
+    }
+    return std::nullopt;
+  }
+
   const RefinedQuorumSystem* rqs_;
   bool decided_{false};
   Value decision_{kNil};
   RoundNumber decided_step_{0};
   ViewNumber decided_view_{0};
   std::map<std::tuple<ViewNumber, Value>, ProcessSet> update1_;
-  std::map<std::tuple<ViewNumber, Value, QuorumId>, ProcessSet> update2_;
+  /// Rule 2 credits per quorum id, for each (view, value).
+  std::map<std::tuple<ViewNumber, Value>, std::vector<ProcessSet>> update2_;
   std::map<std::tuple<ViewNumber, Value>, ProcessSet> update3_;
 };
 

@@ -24,6 +24,11 @@ class RqsLearner final : public sim::Process {
   [[nodiscard]] bool learned() const noexcept { return learned_; }
   [[nodiscard]] Value learned_value() const noexcept { return value_; }
   [[nodiscard]] sim::SimTime learn_time() const noexcept { return learn_time_; }
+  /// The decision rule (1/2/3) the learner learned through; 0 when it
+  /// learned from a basic subset of decision messages or not at all.
+  [[nodiscard]] RoundNumber learned_rule() const noexcept {
+    return tracker_.decided_step();
+  }
 
   void on_message(ProcessId from, const sim::Message& m) override {
     if (learned_) return;

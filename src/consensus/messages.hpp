@@ -92,11 +92,18 @@ struct PrepareMsg final : sim::TypedMessage<PrepareMsg> {
 };
 RQS_MESSAGE_LAYOUT(PrepareMsg, 128);
 
+/// update_step<v, view>. update2 and update3 carry the sender's covered
+/// set: the senders of the previous step it had heard from when it sent.
+/// One update2 with covered set S stands for the paper's update2<v, view,
+/// Q> for every quorum Q subset of S (Fig. 15 lines 36-38 send one per
+/// newly covered quorum), so an acceptor sends one message per delivery
+/// that covers something new instead of one per quorum. A Byzantine sender
+/// can claim no more with one set than with the separate messages.
 struct UpdateMsg final : sim::TypedMessage<UpdateMsg> {
   RoundNumber step{1};  // 1, 2 or 3
   Value value{kNil};
   ViewNumber view{0};
-  QuorumId quorum{kInvalidQuorum};  // update2/update3 carry the quorum id
+  ProcessSet covered;  // update2/update3: senders of the previous step
   [[nodiscard]] std::string_view tag() const override {
     switch (step) {
       case 1: return "UPDATE1";

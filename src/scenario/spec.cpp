@@ -40,8 +40,16 @@ RefinedQuorumSystem materialize(SystemFamily f) {
   return make_fig1_fast5();
 }
 
-bool family_valid(SystemFamily f) noexcept {
-  return f != SystemFamily::kFig1Broken5;
+bool family_valid(SystemFamily f) {
+  // check() costs more than a whole swarm scenario: run it once per family.
+  static const auto kValid = [] {
+    std::array<bool, kAllSystemFamilies.size()> valid{};
+    for (const SystemFamily g : kAllSystemFamilies) {
+      valid.at(static_cast<std::size_t>(g)) = materialize(g).check().ok();
+    }
+    return valid;
+  }();
+  return kValid.at(static_cast<std::size_t>(f));
 }
 
 const char* to_string(FaultRole r) noexcept {

@@ -57,12 +57,12 @@ class DecideTrackerTest : public ::testing::Test {
   const RefinedQuorumSystem rqs_ = make_3t1_instantiation(1);  // n = 4
 
   UpdateMsg update(RoundNumber step, Value v, ViewNumber w,
-                   QuorumId q = kInvalidQuorum) {
+                   ProcessSet covered = {}) {
     UpdateMsg m;
     m.step = step;
     m.value = v;
     m.view = w;
-    m.quorum = q;
+    m.covered = covered;
     return m;
   }
 };
@@ -97,29 +97,51 @@ TEST_F(DecideTrackerTest, Update1MixedViewsDoNotCount) {
   EXPECT_FALSE(t.decided());
 }
 
-TEST_F(DecideTrackerTest, Update2NeedsMatchingQuorumId) {
+TEST_F(DecideTrackerTest, Update2NeedsCoveredSetContainingTheQuorum) {
   DecideTracker t(rqs_);
-  const QuorumId q012 = *rqs_.find(ProcessSet{0, 1, 2});
-  const QuorumId q013 = *rqs_.find(ProcessSet{0, 1, 3});
-  // Senders {0,1} with quorum id q012, sender 2 with a different id:
+  const ProcessSet q012{0, 1, 2};
+  ASSERT_EQ(rqs_.quorum(*rqs_.find(q012)).cls, QuorumClass::Class2);
+  // Senders {0,1} cover {0,1,2}; sender 2's covered set {0,1,3} does not
+  // contain {0,1,2}, so it does not count toward that quorum.
   EXPECT_FALSE(t.feed(0, update(2, 5, 0, q012)).has_value());
   EXPECT_FALSE(t.feed(1, update(2, 5, 0, q012)).has_value());
-  EXPECT_FALSE(t.feed(2, update(2, 5, 0, q013)).has_value());
+  EXPECT_FALSE(t.feed(2, update(2, 5, 0, ProcessSet{0, 1, 3})).has_value());
   EXPECT_FALSE(t.decided());
-  // Completing q012 with sender 2 and the right id decides.
+  // Sender 2 covering {0,1,2} completes the quorum and decides.
   const auto v = t.feed(2, update(2, 5, 0, q012));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 5);
+  EXPECT_EQ(t.decided_step(), 2u);
 }
 
 TEST_F(DecideTrackerTest, Update2SendersMustBelongToTheQuorum) {
   DecideTracker t(rqs_);
-  const QuorumId q012 = *rqs_.find(ProcessSet{0, 1, 2});
+  const ProcessSet q012{0, 1, 2};
   // Sender 3 is not in {0,1,2}: its message must not complete that rule.
   EXPECT_FALSE(t.feed(0, update(2, 5, 0, q012)).has_value());
   EXPECT_FALSE(t.feed(1, update(2, 5, 0, q012)).has_value());
   EXPECT_FALSE(t.feed(3, update(2, 5, 0, q012)).has_value());
   EXPECT_FALSE(t.decided());
+}
+
+TEST_F(DecideTrackerTest, Update2GrowingCoveredSetIsIdempotent) {
+  DecideTracker t(rqs_);
+  const ProcessSet q012{0, 1, 2};
+  const ProcessSet all{0, 1, 2, 3};
+  // The same sender re-sending its set, or a larger one, counts once.
+  EXPECT_FALSE(t.feed(0, update(2, 5, 0, q012)).has_value());
+  EXPECT_FALSE(t.feed(0, update(2, 5, 0, q012)).has_value());
+  EXPECT_FALSE(t.feed(0, update(2, 5, 0, all)).has_value());
+  EXPECT_FALSE(t.feed(1, update(2, 5, 0, ProcessSet{0, 1, 3})).has_value());
+  EXPECT_FALSE(t.feed(1, update(2, 5, 0, all)).has_value());
+  EXPECT_FALSE(t.feed(1, update(2, 5, 0, all)).has_value());
+  EXPECT_FALSE(t.decided());
+  // {0,1,2} completes exactly on sender 2's first message.
+  const auto v = t.feed(2, update(2, 5, 0, q012));
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, 5);
+  EXPECT_FALSE(t.feed(2, update(2, 5, 0, all)).has_value());
+  EXPECT_EQ(t.decision(), 5);
 }
 
 TEST_F(DecideTrackerTest, Update3AnyQuorum) {
@@ -143,8 +165,8 @@ TEST_F(DecideTrackerTest, FirstDecisionSticks) {
 }
 
 TEST_F(DecideTrackerTest, Update2RejectsClass3AndBogusIds) {
-  // A class 3 quorum id cannot decide via the update2 rule, nor can an
-  // out-of-range id.
+  // A covered set containing only class 3 quorums cannot decide via the
+  // update2 rule, nor can a set naming processes outside the universe.
   const RefinedQuorumSystem graded = make_graded_threshold(7, 1, 2, 1, 0);
   DecideTracker t(graded);
   // Find a class 3 quorum (missing 2 processes).
@@ -156,21 +178,26 @@ TEST_F(DecideTrackerTest, Update2RejectsClass3AndBogusIds) {
     }
   }
   ASSERT_NE(class3, kInvalidQuorum);
-  for (const ProcessId a : graded.quorum_set(class3)) {
-    UpdateMsg m;
-    m.step = 2;
-    m.value = 5;
-    m.view = 0;
-    m.quorum = class3;
-    EXPECT_FALSE(t.feed(a, m).has_value());
+  const ProcessSet covered = graded.quorum_set(class3);
+  for (const Quorum& q : graded.quorums()) {
+    if (q.set.subset_of(covered)) {
+      ASSERT_EQ(q.cls, QuorumClass::Class3) << "covered set must hold class 3 only";
+    }
   }
-  UpdateMsg bogus;
-  bogus.step = 2;
-  bogus.value = 5;
-  bogus.view = 0;
-  bogus.quorum = 10000;
-  EXPECT_FALSE(t.feed(0, bogus).has_value());
+  for (const ProcessId a : covered) {
+    EXPECT_FALSE(t.feed(a, update(2, 5, 0, covered)).has_value());
+  }
+  // Every acceptor claims all seven plus a bit past n = 7: malformed, so
+  // no credit, although the in-universe part covers every quorum.
+  const ProcessSet all = ProcessSet::universe(7);
+  for (ProcessId a = 0; a < 7; ++a) {
+    EXPECT_FALSE(t.feed(a, update(2, 5, 0, all | ProcessSet{40})).has_value());
+  }
   EXPECT_FALSE(t.decided());
+  // The same senders with well-formed sets decide.
+  std::optional<Value> v;
+  for (ProcessId a = 0; a < 7 && !v; ++a) v = t.feed(a, update(2, 5, 0, all));
+  EXPECT_EQ(v, std::optional<Value>{5});
 }
 
 }  // namespace

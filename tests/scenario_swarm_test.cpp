@@ -11,6 +11,18 @@
 namespace rqs::scenario {
 namespace {
 
+// The runner asserts liveness and validity only for families whose RQS
+// passes check(); masking4 (n = 4 is not above 2t + 2k) must not qualify.
+TEST(SwarmSmokeTest, FamilyValidAgreesWithCheck) {
+  for (const SystemFamily f : kAllSystemFamilies) {
+    const CheckResult check = materialize(f).check();
+    EXPECT_EQ(family_valid(f), check.ok()) << to_string(f) << ": " << check.to_string();
+  }
+  EXPECT_FALSE(family_valid(SystemFamily::kFig1Broken5));
+  EXPECT_FALSE(family_valid(SystemFamily::kMasking4));
+  EXPECT_TRUE(family_valid(SystemFamily::kThreeT1of1));
+}
+
 TEST(SwarmSmokeTest, TwoHundredValidScenariosNoViolations) {
   SwarmOptions opts;
   opts.scenarios = 200;
