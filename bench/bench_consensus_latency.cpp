@@ -100,7 +100,7 @@ void BM_ConsensusBestCase(benchmark::State& state) {
   }
   report_learn_latency(state, ob);
 }
-BENCHMARK(BM_ConsensusBestCase)->Arg(1)->Arg(2);
+BENCHMARK(BM_ConsensusBestCase)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ConsensusWithByzantineAcceptor(benchmark::State& state) {
   rqs::obs::Observer ob;
@@ -114,7 +114,7 @@ void BM_ConsensusWithByzantineAcceptor(benchmark::State& state) {
   }
   report_learn_latency(state, ob);
 }
-BENCHMARK(BM_ConsensusWithByzantineAcceptor)->Arg(1)->Arg(2);
+BENCHMARK(BM_ConsensusWithByzantineAcceptor)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 }  // namespace rqs::consensus

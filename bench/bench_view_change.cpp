@@ -94,6 +94,33 @@ void BM_BestCaseNoViewChange(benchmark::State& state) {
 }
 BENCHMARK(BM_BestCaseNoViewChange);
 
+/// choose() alone on the vProof of a forced view change at n = 10: the
+/// equivocating leader of view 0 leaves half the acceptors prepared on
+/// each value, and the benign leader of view 1 consults a quorum. Every
+/// acceptor re-runs this choose() when the view-1 prepare arrives.
+void BM_ChooseN10(benchmark::State& state) {
+  ConsensusCluster cluster(make_3t1_instantiation(3), 2, 1, ProcessSet{}, 21,
+                           /*byzantine_proposer=*/true);
+  cluster.propose(0, 20);
+  cluster.propose(1, 22);
+  if (!cluster.run_until_learned(4000)) {
+    state.SkipWithError("no decision");
+    return;
+  }
+  const RqsProposer& leader = cluster.proposer(1);
+  const VProof& vproof = leader.prepared_vproof();
+  const ProcessSet q = leader.prepared_quorum();
+  if (vproof.empty()) {
+    state.SkipWithError("no view change");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(choose(22, vproof, q, cluster.rqs()));
+  }
+  state.counters["acks"] = static_cast<double>(vproof.size());
+}
+BENCHMARK(BM_ChooseN10);
+
 }  // namespace
 }  // namespace rqs::consensus
 

@@ -59,6 +59,13 @@ using ViewNumber = std::uint64_t;
 /// "slot" index; the paper indexes history[ts, rnd] with rnd in {1,2,3}.
 using RoundNumber = std::uint32_t;
 
+/// Index of a quorum within a refined quorum system (core/rqs.hpp). Both
+/// protocols ship quorum ids inside messages (the paper's QC'2 sets and
+/// UpdateQ), so the id type lives with the other vocabulary types.
+using QuorumId = std::uint32_t;
+
+inline constexpr QuorumId kInvalidQuorum = static_cast<QuorumId>(-1);
+
 /// Values stored / proposed. The paper's domain D extended with bottom.
 /// We use a sentinel for bottom so a Value is trivially copyable; the public
 /// API exposes is_bottom() helpers instead of the raw sentinel.

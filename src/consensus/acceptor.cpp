@@ -127,7 +127,7 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
   // "received from some quorum Q": only quorums containing `from` can be
   // newly covered, and every quorum covered earlier is already in UpdateQ.
   const RoundNumber step = m.step;
-  std::set<QuorumId>* known = nullptr;
+  QuorumIdSet* known = nullptr;
   bool fresh = false;
   for (const QuorumId qid : config_.rqs->quorums_containing(from)) {
     if (!config_.rqs->quorum_set(qid).subset_of(senders)) continue;
@@ -147,7 +147,7 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
     // Lines 36-38: update2 goes out for every newly covered quorum, update3
     // for the first one only.
     if (step == 1) {
-      fresh |= known->insert(qid).second;
+      fresh |= known->insert(qid);
     } else if (known->empty()) {
       known->insert(qid);
       fresh = true;
@@ -283,10 +283,13 @@ void RqsAcceptor::try_complete_pending_ack() {
 }
 
 bool RqsAcceptor::vproof_valid(const VProof& vproof, ProcessSet q) const {
-  // Every member of Q must have a signature-valid ack with valid
+  // Exactly the members of Q must have a signature-valid ack with valid
   // Updateproof sets. (Acceptors re-validate what the proposer validated:
-  // a Byzantine proposer may ship garbage.)
+  // a Byzantine proposer may ship garbage.) Acks from outside Q would
+  // widen choose()'s value and view universe, so a padded proof is
+  // rejected like an incomplete one.
   if (!config_.rqs->find(q).has_value()) return false;
+  if (vproof.size() != q.size()) return false;
   for (const ProcessId a : q) {
     const auto it = vproof.find(a);
     if (it == vproof.end()) return false;

@@ -73,7 +73,7 @@ class RqsAcceptor : public sim::Process {
   std::set<ViewNumber> prepview_;
   std::array<Value, 3> update_{kNil, kNil, kNil};
   std::array<std::set<ViewNumber>, 3> updateview_;
-  std::map<StepView, std::set<QuorumId>> updateq_;
+  std::map<StepView, QuorumIdSet> updateq_;
   std::map<StepView, std::vector<SignedUpdate>> updateproof_;
   std::set<std::string> old_;  // payloads of update messages this acceptor sent
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/quorum_id_set.hpp"
 #include "common/types.hpp"
 #include "core/rqs.hpp"
 #include "sim/message.hpp"
@@ -58,7 +59,7 @@ struct NewViewAckData {
   std::array<Value, 3> update{kNil, kNil, kNil};          // index 1, 2 used
   std::array<std::set<ViewNumber>, 3> updateview;          // index 1, 2 used
   std::map<StepView, std::vector<SignedUpdate>> updateproof;
-  std::map<StepView, std::set<QuorumId>> updateq;
+  std::map<StepView, QuorumIdSet> updateq;
 
   /// Canonical payload for the ack's own signature.
   [[nodiscard]] std::string payload() const;

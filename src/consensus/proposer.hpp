@@ -27,6 +27,12 @@ class RqsProposer : public sim::Process {
   [[nodiscard]] bool has_proposed() const noexcept { return proposed_; }
   [[nodiscard]] bool halted() const noexcept { return halted_; }
   [[nodiscard]] ViewNumber current_view() const noexcept { return view_; }
+  /// The vProof and its quorum behind the last prepare this proposer sent
+  /// (empty before its first prepare in a view after the initial one).
+  [[nodiscard]] const VProof& prepared_vproof() const noexcept {
+    return prepared_vproof_;
+  }
+  [[nodiscard]] ProcessSet prepared_quorum() const noexcept { return prepared_quorum_; }
 
   void on_message(ProcessId from, const sim::Message& m) override;
   void on_timer(sim::TimerId timer) override;

@@ -35,14 +35,10 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "core/adversary.hpp"
 
 namespace rqs {
-
-/// Index of a quorum within a refined quorum system.
-using QuorumId = std::uint32_t;
-
-inline constexpr QuorumId kInvalidQuorum = static_cast<QuorumId>(-1);
 
 /// The class of a quorum. Class 1 quorums are also class 2 quorums, which
 /// are also class 3 (plain) quorums; the enum value is the *best* class.

@@ -208,5 +208,54 @@ TEST(ConsensusFaultTest, AmnesiacConsultLiarsCannotEraseDecision) {
   }
 }
 
+TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
+  // choose() reads a vProof holding exactly the acks of quorum Q. A
+  // Byzantine leader padding it with an ack from outside Q would widen the
+  // value and view universe choose() scans, so acceptors ignore such a
+  // prepare — and accept the same prepare unpadded.
+  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+  sim::Simulation& sim = cluster.sim();
+  const ConsensusConfig& config = cluster.config();
+  const ProcessId leader = config.leader_of(1);
+  const ProcessId target = 0;
+
+  // Move the target to view 1 with a genuine view proof: view_change<1>
+  // signed by every acceptor.
+  auto new_view = sim::make_message<NewViewMsg>();
+  new_view->view = 1;
+  for (const ProcessId a : config.acceptors) {
+    const sim::Signer signer(*config.authority, a);
+    new_view->view_proof.push_back(
+        SignedViewChange{1, a, signer.sign(SignedViewChange::payload(1))});
+  }
+  sim.deliver_at(sim.now(), leader, target, std::move(new_view));
+  sim.run(sim.now() + 10 * sim.delta());
+  ASSERT_EQ(cluster.acceptor(target).current_view(), 1u);
+
+  // Fresh acks from Q = {1, 2, 3}: no candidate, so choose() keeps 7.
+  const ProcessSet q{1, 2, 3};
+  const auto prepare = [&](bool padded) {
+    auto msg = sim::make_message<PrepareMsg>();
+    msg->value = 7;
+    msg->view = 1;
+    msg->vproof_quorum = q;
+    for (const ProcessId a : q) msg->vproof[a].view = 1;
+    if (padded) {
+      NewViewAckData& pad = msg->vproof[0];  // acceptor 0 is outside Q
+      pad.view = 1;
+      pad.prep = 9;
+      pad.prepview = {0};
+    }
+    return msg;
+  };
+  sim.deliver_at(sim.now(), leader, target, prepare(/*padded=*/true));
+  sim.run(sim.now() + 10 * sim.delta());
+  EXPECT_EQ(cluster.acceptor(target).prepared(), kNil);
+
+  sim.deliver_at(sim.now(), leader, target, prepare(/*padded=*/false));
+  sim.run(sim.now() + 10 * sim.delta());
+  EXPECT_EQ(cluster.acceptor(target).prepared(), 7);
+}
+
 }  // namespace
 }  // namespace rqs::consensus

@@ -52,6 +52,20 @@ TEST(PayloadTest, NewViewAckBindsAllFields) {
   EXPECT_EQ(NewViewAckData{a}.payload(), base);
 }
 
+TEST(PayloadTest, NewViewAckUpdateqEncodingPinned) {
+  // UpdateQ is a QuorumIdSet; it iterates ascending like the std::set it
+  // replaced, so the signed encoding is the same string as before.
+  NewViewAckData a;
+  a.view = 2;
+  a.prep = 9;
+  a.prepview = {1, 2};
+  a.update[1] = 9;
+  a.updateview[1] = {1};
+  a.updateq[{1, 1}] = {3, 1, 2};
+  EXPECT_EQ(a.payload(),
+            "nvack|2|p=9|pv=1,2,|u1=9:1,|u2=-9223372036854775808:|q1.1=1,2,3,");
+}
+
 class DecideTrackerTest : public ::testing::Test {
  protected:
   const RefinedQuorumSystem rqs_ = make_3t1_instantiation(1);  // n = 4
