@@ -49,12 +49,9 @@ void RqsAcceptor::on_message(ProcessId from, const sim::Message& m) {
       ProcessSet& senders = decision_senders_[dec.value];
       if (!config_.acceptors.contains(from) || senders.contains(from)) return;
       senders.insert(from);
-      for (const QuorumId qid : config_.rqs->quorums_containing(from)) {
-        if (config_.rqs->quorum_set(qid).subset_of(senders)) {
-          suspect_stopped_ = true;
-          if (suspect_armed_) cancel_timer(suspect_timer_);
-          break;
-        }
+      if (config_.rqs->covers(from, senders, QuorumClass::Class3)) {
+        suspect_stopped_ = true;
+        if (suspect_armed_) cancel_timer(suspect_timer_);
       }
       return;
     }
@@ -129,8 +126,7 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
   const RoundNumber step = m.step;
   QuorumIdSet* known = nullptr;
   bool fresh = false;
-  for (const QuorumId qid : config_.rqs->quorums_containing(from)) {
-    if (!config_.rqs->quorum_set(qid).subset_of(senders)) continue;
+  config_.rqs->for_each_completed_by(from, senders, QuorumClass::Class3, [&](QuorumId qid) {
     if (known == nullptr) {
       // Lines 34-35.
       if (update_[step] == m.value) {
@@ -152,7 +148,7 @@ void RqsAcceptor::handle_update(ProcessId from, const UpdateMsg& m) {
       known->insert(qid);
       fresh = true;
     }
-  }
+  });
   // One message carries all of this delivery's newly covered quorums.
   if (fresh) send_update(step + 1, m.value, view_, senders);
 }
@@ -332,9 +328,7 @@ bool RqsAcceptor::view_proof_valid(const std::vector<SignedViewChange>& proof,
       continue;
     }
     signers.insert(vc.signer);
-    for (const QuorumId qid : config_.rqs->quorums_containing(vc.signer)) {
-      if (config_.rqs->quorum_set(qid).subset_of(signers)) return true;
-    }
+    if (config_.rqs->covers(vc.signer, signers, QuorumClass::Class3)) return true;
   }
   return false;
 }
@@ -368,9 +362,6 @@ void RqsAcceptor::on_decided(Value v) {
 // (suspect_armed_/timeout carry the protocol-visible bits), the signer and
 // the tracker's sender tallies beyond the decision itself.
 void RqsAcceptor::digest_state(Fnv64& h) const {
-  const auto mix_set = [&h](const ProcessSet& s) {
-    for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-  };
   h.mix(view_);
   h.mix(static_cast<std::uint64_t>(prep_));
   h.mix(prepview_.size());
@@ -409,7 +400,7 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
     h.mix(std::get<0>(key));
     h.mix(std::get<1>(key));
     h.mix(static_cast<std::uint64_t>(std::get<2>(key)));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(pending_ack_ ? 1 : 0);
   if (pending_ack_) {
@@ -426,7 +417,7 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
   h.mix(decision_senders_.size());
   for (const auto& [v, senders] : decision_senders_) {
     h.mix(static_cast<std::uint64_t>(v));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(tracker_.decided() ? 1 : 0);
   h.mix(static_cast<std::uint64_t>(tracker_.decision()));

@@ -5,8 +5,9 @@
 //   - the same update3<v, view, *>  from any quorum.
 //
 // A quorum can only become complete on a message from one of its members,
-// so every rule scans just quorums_containing(sender), and a sender that
-// is already counted changes nothing.
+// so every rule asks the membership-indexed query of the quorum system
+// (covers / for_each_completed_by with the sender as newcomer), and a
+// sender that is already counted changes nothing.
 #pragma once
 
 #include <map>
@@ -26,6 +27,8 @@ class DecideTracker {
   /// Feeds an update message received from `sender`; returns the decided
   /// value when one of the three rules fires (first firing only).
   std::optional<Value> feed(ProcessId sender, const UpdateMsg& m) {
+    // A sender outside the universe belongs to no quorum; drop it before
+    // it reaches the per-(view, value) sender sets.
     if (decided_ || sender >= rqs_->universe_size()) return std::nullopt;
     switch (m.step) {
       case 1:
@@ -41,15 +44,12 @@ class DecideTracker {
         }
         std::vector<ProcessSet>& credits = update2_[{m.view, m.value}];
         if (credits.empty()) credits.resize(rqs_->quorum_count());
-        for (const QuorumId qid : rqs_->quorums_containing(sender)) {
-          const Quorum& q2 = rqs_->quorum(qid);
-          if (q2.cls == QuorumClass::Class3 || !q2.set.subset_of(m.covered)) {
-            continue;
-          }
-          credits[qid].insert(sender);
-          if (credits[qid] == q2.set) return decide(m.value, 2, m.view);
-        }
-        return std::nullopt;
+        const bool complete = rqs_->for_each_completed_by(
+            sender, m.covered, QuorumClass::Class2, [&](QuorumId qid) {
+              credits[qid].insert(sender);
+              return credits[qid] == rqs_->quorum_set(qid);
+            });
+        return complete ? decide(m.value, 2, m.view) : std::nullopt;
       }
       case 3:
         return feed_senders(update3_[{m.view, m.value}], sender,
@@ -82,13 +82,8 @@ class DecideTracker {
                                     QuorumClass max_class, const UpdateMsg& m) {
     if (senders.contains(sender)) return std::nullopt;
     senders.insert(sender);
-    for (const QuorumId qid : rqs_->quorums_containing(sender)) {
-      const Quorum& q = rqs_->quorum(qid);
-      if (q.cls <= max_class && q.set.subset_of(senders)) {
-        return decide(m.value, m.step, m.view);
-      }
-    }
-    return std::nullopt;
+    if (!rqs_->covers(sender, senders, max_class)) return std::nullopt;
+    return decide(m.value, m.step, m.view);
   }
 
   const RefinedQuorumSystem* rqs_;

@@ -75,7 +75,7 @@ class RqsLearner final : public sim::Process {
     h.mix(decision_senders_.size());
     for (const auto& [v, s] : decision_senders_) {
       h.mix(static_cast<std::uint64_t>(v));
-      for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
+      digest_into(h, s);
     }
   }
 

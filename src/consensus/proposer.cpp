@@ -141,27 +141,27 @@ void RqsProposer::try_choose_and_prepare() {
   // Lines 3-8: look for a quorum of valid acks not yet known faulty.
   ProcessSet acked;
   for (const auto& [a, data] : acks_) acked.insert(a);
-  for (const Quorum& quorum : config_.rqs->quorums()) {
-    if (!quorum.set.subset_of(acked)) continue;
-    if (faulty_.find(quorum.set) != faulty_.end()) continue;
-    if (prepared_quorums_.find(quorum.set) != prepared_quorums_.end()) continue;
+  config_.rqs->for_each_covered(acked, QuorumClass::Class3, [&](QuorumId qid) {
+    const ProcessSet quorum = config_.rqs->quorum_set(qid);
+    if (faulty_.find(quorum) != faulty_.end()) return false;
+    if (prepared_quorums_.find(quorum) != prepared_quorums_.end()) return false;
     // Restrict the proof to exactly Q's members.
     VProof vproof;
-    for (const ProcessId a : quorum.set) vproof[a] = acks_[a];
-    const ChooseResult chosen = choose(value_, vproof, quorum.set, *config_.rqs);
+    for (const ProcessId a : quorum) vproof[a] = acks_[a];
+    const ChooseResult chosen = choose(value_, vproof, quorum, *config_.rqs);
     if (chosen.abort) {
       if (auto* ob = sim().observer()) {
         ob->count("consensus.choose.abort");
         ob->phase(now(), id(), obs::kPhaseChooseAbort, view_);
       }
-      faulty_.insert(quorum.set);  // line 7
-      continue;
+      faulty_.insert(quorum);  // line 7
+      return false;
     }
-    prepared_quorums_.insert(quorum.set);
+    prepared_quorums_.insert(quorum);
     consulting_ = false;
-    send_prepare(chosen.value, vproof, quorum.set);  // line 9
-    return;
-  }
+    send_prepare(chosen.value, vproof, quorum);  // line 9
+    return true;
+  });
 }
 
 void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
@@ -190,20 +190,17 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       if (next <= view_ || config_.leader_of(next) != id()) return;
       ProcessSet senders;
       for (const auto& [a, change] : view_changes_[next]) senders.insert(a);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (!q.set.subset_of(senders)) continue;
-        view_proof_.clear();
-        for (const auto& [a, change] : view_changes_[next]) {
-          view_proof_.push_back(change);
-        }
-        view_ = next;  // line 12
-        if (auto* ob = sim().observer()) {
-          ob->count("consensus.view_change");
-          ob->phase(now(), id(), obs::kPhaseViewChange, next);
-        }
-        if (proposed_) run_propose();  // line 13/10: elected => propose
-        return;
+      if (!config_.rqs->covers(senders, QuorumClass::Class3)) return;
+      view_proof_.clear();
+      for (const auto& [a, change] : view_changes_[next]) {
+        view_proof_.push_back(change);
       }
+      view_ = next;  // line 12
+      if (auto* ob = sim().observer()) {
+        ob->count("consensus.view_change");
+        ob->phase(now(), id(), obs::kPhaseViewChange, next);
+      }
+      if (proposed_) run_propose();  // line 13/10: elected => propose
       return;
     }
     case DecisionMsg::kType: {
@@ -213,15 +210,11 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       if (!config_.acceptors.contains(from)) return;
       ProcessSet& senders = decision_senders_[dec.value];
       senders.insert(from);
-      for (const Quorum& q : config_.rqs->quorums()) {
-        if (q.set.subset_of(senders)) {
-          halted_ = true;
-          if (retry_armed_) {
-            cancel_timer(retry_timer_);
-            retry_armed_ = false;
-          }
-          return;
-        }
+      if (!config_.rqs->covers(senders, QuorumClass::Class3)) return;
+      halted_ = true;
+      if (retry_armed_) {
+        cancel_timer(retry_timer_);
+        retry_armed_ = false;
       }
       return;
     }
@@ -237,9 +230,6 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
 // Protocol-visible proposer state for the duplicate-delivery equivalence
 // suite; timer handles and the signer are excluded as observations.
 void RqsProposer::digest_state(Fnv64& h) const {
-  const auto mix_set = [&h](const ProcessSet& s) {
-    for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-  };
   h.mix(static_cast<std::uint64_t>(value_));
   h.mix(proposed_ ? 1 : 0);
   h.mix(halted_ ? 1 : 0);
@@ -252,9 +242,9 @@ void RqsProposer::digest_state(Fnv64& h) const {
     h.mix(static_cast<std::uint64_t>(data.prep));
   }
   h.mix(faulty_.size());
-  for (const ProcessSet& q : faulty_) mix_set(q);
+  for (const ProcessSet& q : faulty_) digest_into(h, q);
   h.mix(prepared_quorums_.size());
-  for (const ProcessSet& q : prepared_quorums_) mix_set(q);
+  for (const ProcessSet& q : prepared_quorums_) digest_into(h, q);
   h.mix(view_changes_.size());
   for (const auto& [next, changes] : view_changes_) {
     h.mix(next);
@@ -264,7 +254,7 @@ void RqsProposer::digest_state(Fnv64& h) const {
   h.mix(decision_senders_.size());
   for (const auto& [v, senders] : decision_senders_) {
     h.mix(static_cast<std::uint64_t>(v));
-    mix_set(senders);
+    digest_into(h, senders);
   }
   h.mix(prepare_sent_ ? 1 : 0);
   h.mix(static_cast<std::uint64_t>(prepared_value_));

@@ -72,13 +72,9 @@ template <class Set>
 std::optional<QuorumId> BasicRefinedQuorumSystem<Set>::best_available(
     Set alive) const {
   std::optional<QuorumId> best;
-  auto rank = [this](QuorumId id) {
-    return static_cast<int>(quorums_[id].cls);
-  };
-  for (QuorumId id = 0; id < quorums_.size(); ++id) {
-    if (!quorums_[id].set.subset_of(alive)) continue;
-    if (!best || rank(id) < rank(*best)) best = id;
-  }
+  for_each_covered(alive, QuorumClass::Class3, [&](QuorumId id) {
+    if (!best || quorums_[id].cls < quorums_[*best].cls) best = id;
+  });
   return best;
 }
 

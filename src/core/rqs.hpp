@@ -33,8 +33,10 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/quorum_id_set.hpp"
 #include "common/types.hpp"
 #include "core/adversary.hpp"
 
@@ -122,12 +124,67 @@ class BasicRefinedQuorumSystem {
   [[nodiscard]] bool has_class1() const noexcept { return !qc1_.empty(); }
   [[nodiscard]] bool has_class2() const noexcept { return !qc2_.empty(); }
 
-  /// Ids of the quorums containing process i — the inverted membership
-  /// index, precomputed once per system. Protocols use it to extend
-  /// "which quorums have fully responded" incrementally: an ack from i
-  /// can only complete quorums_containing(i).
-  [[nodiscard]] const std::vector<QuorumId>& quorums_containing(ProcessId i) const {
-    return quorums_containing_.at(i);
+  /// Quorum completion, the question every wait of the storage and
+  /// consensus automata asks: "has some quorum answered in full?".
+  ///
+  /// for_each_covered visits, in ascending id order, every quorum of class
+  /// <= `max_class` whose set is a subset of `heard` (a full scan of the
+  /// class's id list). `fn(id)` may return bool; true stops the scan. The
+  /// result is true iff `fn` stopped it.
+  // rqs-hot-path
+  template <class Fn>
+  bool for_each_covered(const Set& heard, QuorumClass max_class, Fn&& fn) const {
+    if (max_class == QuorumClass::Class3) {
+      for (QuorumId id = 0; id < quorums_.size(); ++id) {
+        if (quorums_[id].set.subset_of(heard) && visit(fn, id)) return true;
+      }
+      return false;
+    }
+    for (const QuorumId id : max_class == QuorumClass::Class1 ? qc1_ : qc2_) {
+      if (quorums_[id].set.subset_of(heard) && visit(fn, id)) return true;
+    }
+    return false;
+  }
+
+  /// The same visit restricted to the quorums containing `newcomer`, in
+  /// ascending id order over the membership index: after `newcomer`'s
+  /// answer joins `heard`, these are the only quorums it can have
+  /// completed. A newcomer outside the universe completes nothing.
+  // rqs-hot-path
+  template <class Fn>
+  bool for_each_completed_by(ProcessId newcomer, const Set& heard,
+                             QuorumClass max_class, Fn&& fn) const {
+    if (newcomer >= quorums_containing_.size()) return false;
+    for (const QuorumId id : quorums_containing_[newcomer]) {
+      const BasicQuorum<Set>& q = quorums_[id];
+      if (q.cls <= max_class && q.set.subset_of(heard) && visit(fn, id)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// True iff some quorum of class <= `max_class` is a subset of `heard`.
+  // rqs-hot-path
+  [[nodiscard]] bool covers(const Set& heard, QuorumClass max_class) const {
+    return for_each_covered(heard, max_class, [](QuorumId) { return true; });
+  }
+  /// The same test over the quorums containing `newcomer` only: did
+  /// `newcomer`'s answer complete a quorum of class <= `max_class`?
+  // rqs-hot-path
+  [[nodiscard]] bool covers(ProcessId newcomer, const Set& heard,
+                            QuorumClass max_class) const {
+    return for_each_completed_by(newcomer, heard, max_class,
+                                 [](QuorumId) { return true; });
+  }
+  /// True iff some quorum named in `ids` (a QC'2 / X set) is a subset of
+  /// `heard`.
+  // rqs-hot-path
+  [[nodiscard]] bool covers(const Set& heard, const QuorumIdSet& ids) const {
+    for (const QuorumId id : ids) {
+      if (quorum(id).set.subset_of(heard)) return true;
+    }
+    return false;
   }
 
   /// First quorum id whose process set equals `s`, if any.
@@ -172,11 +229,25 @@ class BasicRefinedQuorumSystem {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  /// Calls a visitor; true iff it asked to stop (visitors returning void
+  /// never stop).
+  template <class Fn>
+  static bool visit(Fn& fn, QuorumId id) {
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, QuorumId>, bool>) {
+      return fn(id);
+    } else {
+      fn(id);
+      return false;
+    }
+  }
+
   BasicAdversary<Set> adversary_;
   std::vector<BasicQuorum<Set>> quorums_;
   std::vector<QuorumId> qc1_;
   std::vector<QuorumId> qc2_;
-  std::vector<std::vector<QuorumId>> quorums_containing_;  // by ProcessId
+  /// The inverted membership index: ids of the quorums containing each
+  /// process, ascending. An answer from i can only complete those.
+  std::vector<std::vector<QuorumId>> quorums_containing_;
 };
 
 /// Protocol-width aliases (universes up to 64 processes) — the historical

@@ -12,30 +12,12 @@ namespace {
 
 using scenario::ScheduleEntry;
 
-/// Same deployment mapping as ScenarioRunner::run (src/scenario/runner.cpp):
-/// role kNone clears the Byzantine set; forge strategies per FaultRole.
+/// The runner's deployment of `spec` with delta = 0: all events sit at
+/// virtual time 0, so their order is the nondeterminism.
 storage::StorageClusterConfig make_config(const scenario::ScenarioSpec& spec) {
-  storage::StorageClusterConfig cfg;
-  cfg.reader_count = spec.reader_count;
-  cfg.key_count = spec.key_count;
-  cfg.delta = 0;  // all events at virtual time 0; order is the nondeterminism
+  storage::StorageClusterConfig cfg = scenario::storage_deployment(spec);
+  cfg.delta = 0;
   cfg.compact_history = true;
-  cfg.byzantine =
-      spec.role == scenario::FaultRole::kNone ? ProcessSet{} : spec.byzantine;
-  switch (spec.role) {
-    case scenario::FaultRole::kFabricator:
-      cfg.forge = storage::ByzantineStorageServer::fabricate(
-          TsValue{Timestamp{1000, 0}, spec.fake_value});
-      break;
-    case scenario::FaultRole::kEquivocator:
-      cfg.forge = storage::ByzantineStorageServer::equivocate(
-          TsValue{Timestamp{1000, 0}, spec.fake_value},
-          TsValue{Timestamp{1001, 0}, spec.fake_value - 1});
-      break;
-    default:
-      cfg.forge = nullptr;  // amnesiac: forget_everything()
-      break;
-  }
   return cfg;
 }
 
@@ -72,7 +54,8 @@ std::string to_string(const Choice& c) {
 
 McExecution::McExecution(const scenario::ScenarioSpec& spec)
     : spec_(spec),
-      cluster_(scenario::materialize(spec.family), make_config(spec)) {
+      cluster_(scenario::materialize(spec.family), make_config(spec)),
+      visibility_(cluster_.network(), cluster_.server_set()) {
   servers_ = cluster_.server_set();
   n_ = servers_.size();
 
@@ -217,8 +200,8 @@ void McExecution::inject_next() {
         ++skipped_;
         return;
       }
-      apply_visibility(storage::writer_client_id(e.key, spec_.reader_count),
-                       e.reachable);
+      visibility_.apply(storage::writer_client_id(e.key, spec_.reader_count),
+                        e.reachable);
       ops_.push_back(OpRec{true, e.key, 0, ++clock_, 0, e.value, false});
       cluster_.async_write(e.key, e.value);
       return;
@@ -228,7 +211,7 @@ void McExecution::inject_next() {
         ++skipped_;
         return;
       }
-      apply_visibility(
+      visibility_.apply(
           storage::reader_client_id(e.key, e.client, spec_.reader_count),
           e.reachable);
       ops_.push_back(
@@ -246,22 +229,6 @@ void McExecution::inject_next() {
     default:  // unreachable: rejected in the constructor
       return;
   }
-}
-
-void McExecution::apply_visibility(ProcessId client,
-                                   const ProcessSet& reachable) {
-  sim::Network& net = cluster_.network();
-  const auto it = visibility_.find(client);
-  if (it != visibility_.end()) {
-    net.remove_rule(it->second.first);
-    net.remove_rule(it->second.second);
-    visibility_.erase(it);
-  }
-  if (reachable.empty() || servers_.subset_of(reachable)) return;
-  const ProcessSet hidden = servers_ - reachable;
-  const std::size_t out = net.block(ProcessSet::single(client), hidden);
-  const std::size_t in = net.block(hidden, ProcessSet::single(client));
-  visibility_.emplace(client, std::pair<std::size_t, std::size_t>{out, in});
 }
 
 void McExecution::drain_dead() {

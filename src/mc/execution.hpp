@@ -31,10 +31,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "storage/harness.hpp"
 
@@ -146,12 +146,12 @@ class McExecution {
   }
   [[nodiscard]] Choice event_choice(const sim::Event& ev) const;
   void inject_next();
-  void apply_visibility(ProcessId client, const ProcessSet& reachable);
   void drain_dead();
   void refresh_ops();
 
   scenario::ScenarioSpec spec_;
   storage::StorageCluster cluster_;
+  scenario::VisibilityRules visibility_;  // the runner's, over cluster_
   std::size_t n_{0};            // servers
   ProcessSet servers_;
   std::string unsupported_;
@@ -160,10 +160,6 @@ class McExecution {
   std::uint64_t skipped_{0};    // busy-client entries that became no-ops
   std::uint64_t clock_{0};      // logical clock: ticks at op endpoints only
   std::vector<OpRec> ops_;
-  // Visibility rules installed per client (rule-id pair), replaced when
-  // the client's next operation carries a different reachable set —
-  // identical semantics to the runner's VisibilityRules.
-  std::map<ProcessId, std::pair<std::size_t, std::size_t>> visibility_;
 
   std::vector<std::uint64_t> scratch_;  // digest: pending-event hashes
 };

@@ -1,7 +1,6 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -62,33 +61,6 @@ struct OpRecord {
   sim::SimTime invoked{0};
   Value value{kBottom};
   bool completed{false};
-};
-
-/// Replaceable per-client visibility blocks: each kWrite/kRead entry with a
-/// restricted `reachable` set supersedes the client's previous restriction.
-class VisibilityRules {
- public:
-  VisibilityRules(sim::Network& net, ProcessSet servers)
-      : net_(net), servers_(servers) {}
-
-  void apply(ProcessId client, ProcessSet reachable) {
-    const auto it = installed_.find(client);
-    if (it != installed_.end()) {
-      net_.remove_rule(it->second.first);
-      net_.remove_rule(it->second.second);
-      installed_.erase(it);
-    }
-    if (reachable.empty() || servers_.subset_of(reachable)) return;
-    const ProcessSet hidden = servers_ - reachable;
-    const std::size_t out = net_.block(ProcessSet::single(client), hidden);
-    const std::size_t in = net_.block(hidden, ProcessSet::single(client));
-    installed_[client] = {out, in};
-  }
-
- private:
-  sim::Network& net_;
-  ProcessSet servers_;
-  std::map<ProcessId, std::pair<std::size_t, std::size_t>> installed_;
 };
 
 /// Salts separating the per-link loss and duplication draw streams derived
@@ -245,6 +217,40 @@ ProcessSet crash_targets(const std::vector<ScheduleEntry>& entries,
 
 }  // namespace
 
+storage::StorageClusterConfig storage_deployment(const ScenarioSpec& spec) {
+  storage::StorageClusterConfig cfg;
+  cfg.reader_count = spec.reader_count;
+  cfg.key_count = spec.key_count;
+  cfg.byzantine = spec.role == FaultRole::kNone ? ProcessSet{} : spec.byzantine;
+  switch (spec.role) {
+    case FaultRole::kFabricator:
+      cfg.forge = storage::ByzantineStorageServer::fabricate(
+          TsValue{1000, spec.fake_value});
+      break;
+    case FaultRole::kEquivocator:
+      cfg.forge = storage::ByzantineStorageServer::equivocate(
+          TsValue{1000, spec.fake_value}, TsValue{1001, spec.fake_value - 1});
+      break;
+    default:
+      break;  // null forge = forget_everything (amnesiac)
+  }
+  return cfg;
+}
+
+void VisibilityRules::apply(ProcessId client, ProcessSet reachable) {
+  const auto it = installed_.find(client);
+  if (it != installed_.end()) {
+    net_.remove_rule(it->second.first);
+    net_.remove_rule(it->second.second);
+    installed_.erase(it);
+  }
+  if (reachable.empty() || servers_.subset_of(reachable)) return;
+  const ProcessSet hidden = servers_ - reachable;
+  const std::size_t out = net_.block(ProcessSet::single(client), hidden);
+  const std::size_t in = net_.block(hidden, ProcessSet::single(client));
+  installed_[client] = {out, in};
+}
+
 std::string ScenarioResult::to_string() const {
   std::string out = ok() ? "pass" : "FAIL";
   out += " (ops " + obs::format_fraction(ops_completed, ops_started) +
@@ -263,29 +269,12 @@ ScenarioResult ScenarioRunner::run_storage(const ScenarioSpec& spec) const {
   RefinedQuorumSystem sys = materialize(spec.family);
   const std::size_t n = sys.universe_size();
   const ProcessSet servers = ProcessSet::universe(n);
-  const ProcessSet byz =
-      spec.role == FaultRole::kNone ? ProcessSet{} : spec.byzantine;
-
   const std::vector<ScheduleEntry> entries = sorted_schedule(spec);
 
-  storage::StorageClusterConfig cfg;
-  cfg.reader_count = spec.reader_count;
-  cfg.key_count = spec.key_count;
+  storage::StorageClusterConfig cfg = storage_deployment(spec);
   cfg.compact_history = opts_.compact_history;
-  cfg.byzantine = byz;
   if (has_message_faults(entries)) cfg.retry = armed_retry(spec);
-  switch (spec.role) {
-    case FaultRole::kFabricator:
-      cfg.forge = storage::ByzantineStorageServer::fabricate(
-          TsValue{1000, spec.fake_value});
-      break;
-    case FaultRole::kEquivocator:
-      cfg.forge = storage::ByzantineStorageServer::equivocate(
-          TsValue{1000, spec.fake_value}, TsValue{1001, spec.fake_value - 1});
-      break;
-    default:
-      break;  // null forge = forget_everything (amnesiac)
-  }
+  const ProcessSet byz = cfg.byzantine;
   storage::StorageCluster cluster(sys, cfg);
   sim::Simulation& sim = cluster.sim();
   obs::Observer* ob = nullptr;

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -22,7 +24,32 @@ namespace rqs::obs {
 class Observer;
 }  // namespace rqs::obs
 
+namespace rqs::storage {
+struct StorageClusterConfig;
+}  // namespace rqs::storage
+
 namespace rqs::scenario {
+
+/// The storage deployment a spec describes: readers and keys, the
+/// Byzantine servers (none under FaultRole::kNone) and the forge strategy
+/// of the role. ScenarioRunner and the model checker both build from it,
+/// each adding its own delta, history compaction and retry settings.
+[[nodiscard]] storage::StorageClusterConfig storage_deployment(const ScenarioSpec& spec);
+
+/// Replaceable per-client visibility blocks: each kWrite/kRead entry with a
+/// restricted `reachable` set supersedes the client's previous restriction.
+class VisibilityRules {
+ public:
+  VisibilityRules(sim::Network& net, ProcessSet servers)
+      : net_(net), servers_(servers) {}
+
+  void apply(ProcessId client, ProcessSet reachable);
+
+ private:
+  sim::Network& net_;
+  ProcessSet servers_;
+  std::map<ProcessId, std::pair<std::size_t, std::size_t>> installed_;
+};
 
 /// Verdict of one scenario execution.
 struct ScenarioResult {

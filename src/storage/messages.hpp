@@ -146,9 +146,6 @@ inline void digest_into(Fnv64& h, const ServerHistory& hist) {
     digest_into(h, slot.sets);
   });
 }
-inline void digest_into(Fnv64& h, const ProcessSet& s) {
-  for (std::size_t w = 0; w < ProcessSet::kWords; ++w) h.mix(s.word(w));
-}
 
 /// wr<key, ts, v, QC'2, rnd> — sent by the writer in all rounds and by
 /// readers during writebacks. `op` is a per-sender operation nonce echoed

@@ -263,14 +263,8 @@ void RqsReader::on_message(ProcessId from, const sim::Message& m) {
       responded_servers_.insert(from);
       // Lines 52-53: extend Responded with fully-acked quorums. Only
       // quorums containing `from` can newly become complete.
-      if (from < rqs_.universe_size()) {
-        for (const QuorumId qid : rqs_.quorums_containing(from)) {
-          if (!responded_.contains(qid) &&
-              rqs_.quorum_set(qid).subset_of(responded_servers_)) {
-            responded_.insert(qid);
-          }
-        }
-      }
+      rqs_.for_each_completed_by(from, responded_servers_, QuorumClass::Class3,
+                                 [this](QuorumId qid) { responded_.insert(qid); });
       if (phase_ == Phase::kCollect && ack.rnd == read_rnd_) {
         round_acks_.insert(from);
         maybe_finish_collect_round();
@@ -318,14 +312,7 @@ void RqsReader::on_timer(sim::TimerId timer) {
 void RqsReader::maybe_finish_collect_round() {
   // Line 26: acks of this round from some quorum; line 28: in round 1,
   // additionally the 2*Delta timer.
-  if (!timer_expired_) return;
-  const bool some_quorum = [&] {
-    for (const Quorum& q : rqs_.quorums()) {
-      if (q.set.subset_of(round_acks_)) return true;
-    }
-    return false;
-  }();
-  if (!some_quorum) return;
+  if (!timer_expired_ || !rqs_.covers(round_acks_, QuorumClass::Class3)) return;
   end_collect_round();
 }
 
@@ -344,9 +331,8 @@ void RqsReader::end_collect_round() {
     }
     // Lines 30-31: QC'2 = class 2 quorums that acked round 1.
     qc2_prime_.clear();
-    for (const QuorumId q2 : rqs_.class2_ids()) {
-      if (rqs_.quorum_set(q2).subset_of(round_acks_)) qc2_prime_.insert(q2);
-    }
+    rqs_.for_each_covered(round_acks_, QuorumClass::Class2,
+                          [this](QuorumId q2) { qc2_prime_.insert(q2); });
   }
   // Line 9: highCand(c) iff no candidate with a higher timestamp is
   // not-invalid. One invalid() evaluation per candidate (instead of the
@@ -452,13 +438,7 @@ void RqsReader::start_writeback(RoundNumber wb_round, const QuorumIdSet& set,
 
 void RqsReader::maybe_finish_writeback() {
   // Line 61: acks from some quorum.
-  const bool some_quorum = [&] {
-    for (const Quorum& q : rqs_.quorums()) {
-      if (q.set.subset_of(wb_acks_)) return true;
-    }
-    return false;
-  }();
-  if (!some_quorum) return;
+  if (!rqs_.covers(wb_acks_, QuorumClass::Class3)) return;
 
   switch (phase_) {
     case Phase::kWriteback2:
@@ -468,11 +448,9 @@ void RqsReader::maybe_finish_writeback() {
       // Line 45: also wait for the timer before the line 46 check.
       if (!timer_expired_) return;
       // Line 46: acks from some quorum of X => the read completes.
-      for (const QuorumId qid : wb_target_) {
-        if (rqs_.quorum_set(qid).subset_of(wb_acks_)) {
-          finish(csel_.val);
-          return;
-        }
+      if (rqs_.covers(wb_acks_, wb_target_)) {
+        finish(csel_.val);
+        return;
       }
       // Line 47.
       start_writeback(2, QuorumIdSet{}, Phase::kWriteback2);

@@ -1,8 +1,16 @@
 // Tests for the Example 2-6 constructions: the analytic feasibility bounds
-// of the paper must agree exactly with the explicit property checkers.
+// of the paper must agree exactly with the explicit property checkers. The
+// quorum-completion queries the protocols wait on (covers,
+// for_each_covered, for_each_completed_by, best_available) are checked
+// against a brute-force scan of quorums() on every construction.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "common/combinatorics.hpp"
+#include "common/rng.hpp"
 #include "core/constructions.hpp"
 
 namespace rqs {
@@ -154,6 +162,127 @@ TEST(ConstructionsTest, QuorumLookupHelpers) {
   EXPECT_EQ(rqs.quorum(*id).cls, QuorumClass::Class1);
   EXPECT_FALSE(rqs.find(ProcessSet{0, 1}).has_value());
   EXPECT_EQ(rqs.all_ids().size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Quorum-completion queries vs a brute-force scan of quorums().
+// ---------------------------------------------------------------------------
+
+constexpr QuorumClass kAllClasses[] = {QuorumClass::Class1, QuorumClass::Class2,
+                                       QuorumClass::Class3};
+
+/// Ids of the quorums of class <= `c` inside `heard` that contain
+/// `newcomer` (any member when newcomer is kInvalidProcess), ascending.
+template <class Set>
+std::vector<QuorumId> brute_covered(const BasicRefinedQuorumSystem<Set>& sys,
+                                    const Set& heard, QuorumClass c,
+                                    ProcessId newcomer = kInvalidProcess) {
+  std::vector<QuorumId> out;
+  for (QuorumId id = 0; id < sys.quorums().size(); ++id) {
+    const BasicQuorum<Set>& q = sys.quorums()[id];
+    if (q.cls > c || !q.set.subset_of(heard)) continue;
+    if (newcomer != kInvalidProcess && !q.set.contains(newcomer)) continue;
+    out.push_back(id);
+  }
+  return out;
+}
+
+/// A random subset of the universe whose density varies per draw, so both
+/// near-empty and near-full heard sets (where quorums complete) occur.
+template <class Set>
+Set random_heard(Rng& rng, std::size_t n) {
+  const double density = 0.3 + 0.7 * rng.uniform01();
+  Set s;
+  for (ProcessId i = 0; i < n; ++i) {
+    if (rng.chance(density)) s.insert(i);
+  }
+  return s;
+}
+
+template <class Set>
+void check_queries(const BasicRefinedQuorumSystem<Set>& sys, std::uint64_t seed,
+                   const char* name) {
+  SCOPED_TRACE(name);
+  const std::size_t n = sys.universe_size();
+  Rng rng(seed);
+  std::vector<Set> heards{Set{}, Set::universe(n)};
+  for (int i = 0; i < 200; ++i) heards.push_back(random_heard<Set>(rng, n));
+  for (const Set& heard : heards) {
+    SCOPED_TRACE(heard.to_string());
+    for (const QuorumClass c : kAllClasses) {
+      const std::vector<QuorumId> expect = brute_covered(sys, heard, c);
+      std::vector<QuorumId> seen;
+      EXPECT_FALSE(sys.for_each_covered(heard, c,
+                                        [&](QuorumId id) { seen.push_back(id); }));
+      EXPECT_EQ(seen, expect) << to_string(c);
+      EXPECT_EQ(sys.covers(heard, c), !expect.empty()) << to_string(c);
+      // A visitor returning true stops at the first covered quorum.
+      seen.clear();
+      EXPECT_EQ(sys.for_each_covered(heard, c,
+                                     [&](QuorumId id) {
+                                       seen.push_back(id);
+                                       return true;
+                                     }),
+                !expect.empty());
+      EXPECT_EQ(seen.size(), expect.empty() ? 0u : 1u);
+      for (ProcessId p = 0; p < n; ++p) {
+        const std::vector<QuorumId> by_p = brute_covered(sys, heard, c, p);
+        seen.clear();
+        sys.for_each_completed_by(p, heard, c,
+                                  [&](QuorumId id) { seen.push_back(id); });
+        EXPECT_EQ(seen, by_p) << to_string(c) << " newcomer " << p;
+        EXPECT_EQ(sys.covers(p, heard, c), !by_p.empty())
+            << to_string(c) << " newcomer " << p;
+      }
+    }
+    // The id-list form over a random QC'2-style subset of the ids.
+    QuorumIdSet ids;
+    bool any = false;
+    for (QuorumId id = 0; id < sys.quorum_count(); ++id) {
+      if (!rng.chance(0.3)) continue;
+      ids.insert(id);
+      any = any || sys.quorum(id).set.subset_of(heard);
+    }
+    EXPECT_EQ(sys.covers(heard, ids), any);
+    // best_available: the lowest-id quorum of the best covered class.
+    const std::vector<QuorumId> all = brute_covered(sys, heard, QuorumClass::Class3);
+    std::optional<QuorumId> best;
+    for (const QuorumId id : all) {
+      if (!best || sys.quorum(id).cls < sys.quorum(*best).cls) best = id;
+    }
+    EXPECT_EQ(sys.best_available(heard), best);
+  }
+  // A newcomer outside the universe completes nothing and does not throw.
+  for (const ProcessId p : {static_cast<ProcessId>(n), static_cast<ProcessId>(n + 3),
+                            kInvalidProcess}) {
+    int visits = 0;
+    EXPECT_FALSE(sys.for_each_completed_by(p, Set::universe(n), QuorumClass::Class3,
+                                           [&](QuorumId) { ++visits; }));
+    EXPECT_EQ(visits, 0);
+    EXPECT_FALSE(sys.covers(p, Set::universe(n), QuorumClass::Class3));
+  }
+}
+
+TEST(QuorumQueryTest, MatchBruteForceOnEveryConstruction) {
+  std::uint64_t seed = 1;
+  check_queries(make_fig1_fast5(), seed++, "fig1_fast5");
+  check_queries(make_fig1_broken5(), seed++, "fig1_broken5");
+  check_queries(make_example7(), seed++, "example7");
+  check_queries(make_fig3_example(), seed++, "fig3");
+  for (std::size_t t = 1; t <= 3; ++t) {
+    check_queries(make_3t1_instantiation(t), seed++,
+                  ("3t+1, t=" + std::to_string(t)).c_str());
+  }
+  check_queries(make_masking(6, 1, 1), seed++, "masking(6,1,1)");
+  check_queries(make_disseminating(5, 1, 1), seed++, "disseminating(5,1,1)");
+  check_queries(make_graded_threshold(7, 1, 2, 2, 1), seed++,
+                "graded(7,1,2,2,1)");
+  check_queries(make_crash_majority(5), seed++, "crash_majority(5)");
+}
+
+TEST(QuorumQueryTest, MatchBruteForceAtWideWidth) {
+  check_queries(make_fig3_example<WideProcessSet>(), 41, "wide fig3");
+  check_queries(make_example7<WideProcessSet>(), 42, "wide example7");
 }
 
 }  // namespace

@@ -28,7 +28,11 @@ compiler warning enforces. This linter machine-checks them:
                   emplace_back, emplace, insert, resize, reserve, append).
                   This pins the PR-5 zero-allocation claim statically.
                   Placement new (`new (block) T`) is allocation-free and
-                  permitted.
+                  permitted. The rule also covers annotated functions in
+                  the support directories (src/common, src/core): the
+                  quorum-completion queries there run on every protocol
+                  delivery. The annotation is opt-in, so unannotated
+                  support code is unaffected.
 
   handler-totality  Every on_message body in protocol code must account for
                   every concrete TypedMessage declared in its quoted-include
@@ -92,9 +96,11 @@ from pathlib import Path
 # zero-allocation obligation as the engine itself.
 PROTOCOL_DIRS = ("src/sim", "src/consensus", "src/storage", "src/scenario",
                  "src/obs", "src/mc")
-# Directories where only the nondeterminism rule applies (pure math /
+# Directories where only the nondeterminism rule and, inside functions
+# annotated `// rqs-hot-path`, the hot-path-alloc rule apply (pure math /
 # container code, not on any trace path — unordered iteration there cannot
-# reach a digest, but a clock read could still leak into an API).
+# reach a digest, but a clock read could still leak into an API, and the
+# quorum queries the protocols call per delivery must not allocate).
 SUPPORT_DIRS = ("src/common", "src/core")
 
 # File-level allowances: path suffix -> set of rules switched off, with the
@@ -506,6 +512,7 @@ def scan_file(path: Path, rel: str, findings: list[Finding],
             file_allow |= rules
 
     in_protocol = rel.startswith(PROTOCOL_DIRS) or not rel.startswith("src/")
+    in_support = rel.startswith(SUPPORT_DIRS)
 
     for idx, cl in enumerate(code):
         lineno = idx + 1
@@ -522,11 +529,7 @@ def scan_file(path: Path, rel: str, findings: list[Finding],
                     "iteration order is hash-dependent and breaks golden "
                     "digests; use a flat sorted container or std::map/set"))
 
-    if in_protocol:
-        if "handler-totality" not in file_allow:
-            check_handler_totality(path, raw, code, allowed, src_root, findings)
-        if "retry-timer" not in file_allow:
-            check_retry_timer(path, code, allowed, findings)
+    if in_protocol or in_support:
         hot = hot_path_lines(raw, code)
         for idx in sorted(hot):
             if "hot-path-alloc" in file_allow or "hot-path-alloc" in allowed[idx]:
@@ -537,6 +540,11 @@ def scan_file(path: Path, rel: str, findings: list[Finding],
                         path, idx + 1, "hot-path-alloc",
                         f"{msg} (function annotated // rqs-hot-path)"))
 
+    if in_protocol:
+        if "handler-totality" not in file_allow:
+            check_handler_totality(path, raw, code, allowed, src_root, findings)
+        if "retry-timer" not in file_allow:
+            check_retry_timer(path, code, allowed, findings)
         if not rel.endswith(TYPED_MESSAGE_EXEMPT):
             for idx, cl in enumerate(code):
                 for m in TYPED_MESSAGE_DECL.finditer(cl):

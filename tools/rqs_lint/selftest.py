@@ -4,7 +4,8 @@
 Runs the linter over the planted-violation fixtures in tests/lint_selftest/
 and checks that the findings match the `// EXPECT-LINT: <rule>[, <rule>...]`
 markers exactly — every expected (file, line, rule) must fire, nothing else
-may. A linter that silently stops firing (a regex rot, a lexer bug eating
+may. Fixtures under tests/lint_selftest/support/ are linted as if they lived
+in a support directory (src/core), pinning the narrower rule set there. A linter that silently stops firing (a regex rot, a lexer bug eating
 the annotation) fails CI here, not months later when a real violation
 slips through.
 
@@ -48,12 +49,18 @@ def main(argv: list[str]) -> int:
         print(f"selftest: no fixtures under {fixture_dir}", file=sys.stderr)
         return 2
 
+    support_fixtures = sorted((fixture_dir / "support").glob("*.cpp"))
+
     expected: Counter = Counter()
-    for f in fixtures:
+    for f in fixtures + support_fixtures:
         expected += expected_findings(f)
 
+    findings = rqs_lint.run(root, fixtures)
+    for f in support_fixtures:
+        rqs_lint.scan_file(f, f"src/core/{f.name}",
+                           findings, [], root / "src")
     actual: Counter = Counter()
-    for f in rqs_lint.run(root, fixtures):
+    for f in findings:
         actual[(f.path.name, f.line, f.rule)] += 1
 
     missing = expected - actual
@@ -74,7 +81,7 @@ def main(argv: list[str]) -> int:
         print(f"UNCOVERED rule '{rule}' has no planted fixture violation")
 
     ok = not missing and not unexpected and required <= exercised
-    print(f"selftest: {len(fixtures)} fixtures, "
+    print(f"selftest: {len(fixtures) + len(support_fixtures)} fixtures, "
           f"{sum(expected.values())} planted violations, "
           f"{sum(actual.values())} findings — {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
