@@ -163,7 +163,7 @@ void RqsAcceptor::send_update(RoundNumber step, Value v, ViewNumber view,
     msg->covered = covered;
     send(target, std::move(msg));
   }
-  old_.insert(SignedUpdate::payload(v, view, step));
+  old_.insert(UpdatePayload{v, view, step});
 }
 
 void RqsAcceptor::handle_new_view(ProcessId from, const NewViewMsg& m) {
@@ -215,14 +215,13 @@ void RqsAcceptor::begin_new_view_ack(ProcessId from, ViewNumber view) {
 
 void RqsAcceptor::handle_sign_req(ProcessId from, const SignReqMsg& m) {
   // Line 29: only sign update messages this acceptor really sent.
-  const std::string payload = SignedUpdate::payload(m.value, m.view, m.step);
-  if (old_.find(payload) == old_.end()) return;
+  if (!old_.contains(UpdatePayload{m.value, m.view, m.step})) return;
   auto ack = make_msg<SignAckMsg>();
   ack->update.value = m.value;
   ack->update.view = m.view;
   ack->update.step = m.step;
   ack->update.signer = id();
-  ack->update.signature = signer_.sign(payload);
+  ack->update.signature = signer_.sign(ack->update.payload());
   send(from, std::move(ack));
 }
 
@@ -391,9 +390,10 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
     }
   }
   h.mix(old_.size());
-  for (const std::string& payload : old_) {
-    h.mix(payload.size());
-    for (const char c : payload) h.mix(static_cast<unsigned char>(c));
+  for (const UpdatePayload& sent : old_) {
+    h.mix(static_cast<std::uint64_t>(sent.value));
+    h.mix(sent.view);
+    h.mix(sent.step);
   }
   h.mix(update_senders_.size());
   for (const auto& [key, senders] : update_senders_) {

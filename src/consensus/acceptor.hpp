@@ -75,7 +75,7 @@ class RqsAcceptor : public sim::Process {
   std::array<std::set<ViewNumber>, 3> updateview_;
   std::map<StepView, QuorumIdSet> updateq_;
   std::map<StepView, std::vector<SignedUpdate>> updateproof_;
-  std::set<std::string> old_;  // payloads of update messages this acceptor sent
+  std::set<UpdatePayload> old_;  // update messages this acceptor sent
 
   // Collection of updatestep messages: senders per (step, view, value).
   std::map<std::tuple<RoundNumber, ViewNumber, Value>, ProcessSet> update_senders_;

@@ -28,6 +28,15 @@ namespace rqs::consensus {
 /// "nil" for Prep / Update variables.
 inline constexpr Value kNil = kBottom;
 
+/// The content of an update_step<v, w> message an acceptor sent.
+struct UpdatePayload {
+  Value value{kNil};
+  ViewNumber view{0};
+  RoundNumber step{1};  // 1 or 2
+
+  friend auto operator<=>(const UpdatePayload&, const UpdatePayload&) = default;
+};
+
 /// A signed update_step<v, w> message: the building block of Updateproof.
 struct SignedUpdate {
   Value value{kNil};
