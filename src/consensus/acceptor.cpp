@@ -217,24 +217,19 @@ void RqsAcceptor::handle_sign_req(ProcessId from, const SignReqMsg& m) {
   // Line 29: only sign update messages this acceptor really sent.
   if (!old_.contains(UpdatePayload{m.value, m.view, m.step})) return;
   auto ack = make_msg<SignAckMsg>();
-  ack->update.value = m.value;
-  ack->update.view = m.view;
-  ack->update.step = m.step;
-  ack->update.signer = id();
-  ack->update.signature = signer_.sign(ack->update.payload());
+  ack->update.payload = UpdatePayload{m.value, m.view, m.step};
+  ack->update.signature = signer_.sign(ack->update.payload);
   send(from, std::move(ack));
 }
 
 void RqsAcceptor::handle_sign_ack(ProcessId from, const SignAckMsg& m) {
   if (!pending_ack_) return;
-  const StepView key{m.update.step, m.update.view};
+  const UpdatePayload& update = m.update.payload;
+  const StepView key{update.step, update.view};
   if (pending_ack_->needed.find(key) == pending_ack_->needed.end()) return;
   // The signature must verify and must match this acceptor's update value.
-  if (m.update.signer != from) return;
-  if (update_[m.update.step] != m.update.value) return;
-  if (!config_.authority->verify(m.update.signature, from, m.update.payload())) {
-    return;
-  }
+  if (update_[update.step] != update.value) return;
+  if (!config_.authority->verify(m.update.signature, from, update)) return;
   sign_collect_[key][from] = m.update;
   try_complete_pending_ack();
 }
@@ -271,8 +266,7 @@ void RqsAcceptor::try_complete_pending_ack() {
 
   auto ack = make_msg<NewViewAckMsg>();
   ack->data = data;
-  ack->signer = id();
-  ack->signature = signer_.sign(data.payload());
+  ack->signature = signer_.sign(data);
   send(pending_ack_->proposer, std::move(ack));
   pending_ack_.reset();
 }
@@ -300,13 +294,11 @@ bool RqsAcceptor::ack_signatures_valid(const NewViewAckData& ack) const {
       if (it == ack.updateproof.end()) return false;
       ProcessSet signers;
       for (const SignedUpdate& su : it->second) {
-        if (su.value != ack.update[step] || su.view != w || su.step != step) {
+        if (su.payload != UpdatePayload{ack.update[step], w, step}) return false;
+        if (!config_.authority->verify(su.signature, su.signer(), su.payload)) {
           return false;
         }
-        if (!config_.authority->verify(su.signature, su.signer, su.payload())) {
-          return false;
-        }
-        signers.insert(su.signer);
+        signers.insert(su.signer());
       }
       if (!config_.rqs->adversary().is_basic(signers)) return false;
     }
@@ -321,13 +313,12 @@ bool RqsAcceptor::view_proof_valid(const std::vector<SignedViewChange>& proof,
   // first complete quorum need no verifying.
   ProcessSet signers;
   for (const SignedViewChange& vc : proof) {
-    if (vc.next_view != view) continue;
-    if (!config_.authority->verify(vc.signature, vc.signer, vc.payload())) continue;
-    if (!config_.acceptors.contains(vc.signer) || signers.contains(vc.signer)) {
-      continue;
-    }
-    signers.insert(vc.signer);
-    if (config_.rqs->covers(vc.signer, signers, QuorumClass::Class3)) return true;
+    const ProcessId signer = vc.signer();
+    if (vc.payload.next_view != view) continue;
+    if (!config_.authority->verify(vc.signature, signer, vc.payload)) continue;
+    if (!config_.acceptors.contains(signer) || signers.contains(signer)) continue;
+    signers.insert(signer);
+    if (config_.rqs->covers(signer, signers, QuorumClass::Class3)) return true;
   }
   return false;
 }
@@ -383,10 +374,10 @@ void RqsAcceptor::digest_state(Fnv64& h) const {
     h.mix(key.second);
     h.mix(proof.size());
     for (const SignedUpdate& su : proof) {
-      h.mix(static_cast<std::uint64_t>(su.value));
-      h.mix(su.view);
-      h.mix(su.step);
-      h.mix(su.signer);
+      h.mix(static_cast<std::uint64_t>(su.payload.value));
+      h.mix(su.payload.view);
+      h.mix(su.payload.step);
+      h.mix(su.signer());
     }
   }
   h.mix(old_.size());
@@ -436,9 +427,8 @@ void RqsAcceptor::on_timer(sim::TimerId timer) {
   ++next_view_;
   const ProcessId next_leader = config_.leader_of(next_view_);
   auto msg = make_msg<ViewChangeMsg>();
-  msg->change.next_view = next_view_;
-  msg->change.signer = id();
-  msg->change.signature = signer_.sign(SignedViewChange::payload(next_view_));
+  msg->change.payload.next_view = next_view_;
+  msg->change.signature = signer_.sign(msg->change.payload);
   send(next_leader, std::move(msg));
   suspect_timer_ = set_timer(suspect_timeout_);
 }

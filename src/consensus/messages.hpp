@@ -1,22 +1,30 @@
-// Wire messages and signed-payload encodings of the RQS consensus
-// algorithm (Figures 9-15).
+// Wire messages and signed payloads of the RQS consensus algorithm
+// (Figures 9-15).
 //
 // Three kinds of payloads are signed in the protocol:
-//   * update_step<v, w> messages (archived in acceptors' `old` sets and
-//     re-signed on demand via sign_req/sign_ack to build Updateproof),
-//   * view_change<nextView> messages (collected into viewProof), and
-//   * new_view_ack messages (collected into vProof).
-// Payload encodings are canonical strings; the SignatureAuthority checks
-// (signer, payload) pairs, which is exactly the unforgeability the model
-// grants (Section 4.1).
+//   * UpdatePayload, an update_step<v, w> message (archived in acceptors'
+//     `old` sets and signed on demand via sign_req/sign_ack to build
+//     Updateproof),
+//   * ViewChangePayload, a view_change<nextView> message (collected into
+//     viewProof), and
+//   * NewViewAckData, a new_view_ack message (collected into vProof).
+// Each has a 64-bit content digest that starts with a kind tag, so payloads
+// of different kinds never share an encoding. The digest of NewViewAckData
+// folds every field, including each Updateproof entry's signer and
+// signature. The SignatureAuthority checks (signer, digest) pairs: exactly
+// the unforgeability the model grants (Section 4.1), up to 64-bit digest
+// collisions. A Byzantine acceptor may sign lies about its own state and
+// replay signatures it has seen; it cannot make a benign acceptor's
+// signature vouch for content that acceptor never signed.
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/quorum_id_set.hpp"
 #include "common/types.hpp"
 #include "core/rqs.hpp"
@@ -28,32 +36,52 @@ namespace rqs::consensus {
 /// "nil" for Prep / Update variables.
 inline constexpr Value kNil = kBottom;
 
+/// First word of each signed payload's digest.
+enum class PayloadKind : std::uint64_t { kUpdate = 1, kViewChange = 2, kNewViewAck = 3 };
+
 /// The content of an update_step<v, w> message an acceptor sent.
 struct UpdatePayload {
   Value value{kNil};
   ViewNumber view{0};
   RoundNumber step{1};  // 1 or 2
 
+  [[nodiscard]] constexpr std::uint64_t digest() const noexcept {
+    Fnv64 h;
+    h.mix(static_cast<std::uint64_t>(PayloadKind::kUpdate));
+    h.mix(static_cast<std::uint64_t>(value));
+    h.mix(view);
+    h.mix(step);
+    return h.digest();
+  }
+
   friend auto operator<=>(const UpdatePayload&, const UpdatePayload&) = default;
 };
 
-/// A signed update_step<v, w> message: the building block of Updateproof.
-struct SignedUpdate {
-  Value value{kNil};
-  ViewNumber view{0};
-  RoundNumber step{1};  // 1 or 2
-  ProcessId signer{kInvalidProcess};
+/// The content of a view_change<nextView> message.
+struct ViewChangePayload {
+  ViewNumber next_view{0};
+
+  [[nodiscard]] constexpr std::uint64_t digest() const noexcept {
+    Fnv64 h;
+    h.mix(static_cast<std::uint64_t>(PayloadKind::kViewChange));
+    h.mix(next_view);
+    return h.digest();
+  }
+};
+
+/// A payload together with its signature; the signer is the signature's.
+template <sim::Signable P>
+struct Signed {
+  P payload;
   sim::Signature signature;
 
-  /// Canonical payload signed by the acceptor.
-  [[nodiscard]] static std::string payload(Value v, ViewNumber w, RoundNumber step) {
-    return "update|" + std::to_string(step) + "|" + std::to_string(w) + "|" +
-           std::to_string(v);
-  }
-  [[nodiscard]] std::string payload() const { return payload(value, view, step); }
-
-  friend bool operator==(const SignedUpdate&, const SignedUpdate&) = default;
+  [[nodiscard]] ProcessId signer() const noexcept { return signature.signer; }
 };
+
+/// A signed update_step<v, w> message: the building block of Updateproof.
+using SignedUpdate = Signed<UpdatePayload>;
+/// A signed view_change<nextView> message; a quorum of them is viewProof.
+using SignedViewChange = Signed<ViewChangePayload>;
 
 /// Keys Updateproof / UpdateQ maps: (step, view).
 using StepView = std::pair<RoundNumber, ViewNumber>;
@@ -70,24 +98,45 @@ struct NewViewAckData {
   std::map<StepView, std::vector<SignedUpdate>> updateproof;
   std::map<StepView, QuorumIdSet> updateq;
 
-  /// Canonical payload for the ack's own signature.
-  [[nodiscard]] std::string payload() const;
+  /// Content digest over every field: what the ack's signature vouches for.
+  [[nodiscard]] std::uint64_t digest() const noexcept;
 };
+
+inline std::uint64_t NewViewAckData::digest() const noexcept {
+  Fnv64 h;
+  const auto mix_views = [&h](const std::set<ViewNumber>& views) {
+    h.mix(views.size());
+    for (const ViewNumber w : views) h.mix(w);
+  };
+  h.mix(static_cast<std::uint64_t>(PayloadKind::kNewViewAck));
+  h.mix(view);
+  h.mix(static_cast<std::uint64_t>(prep));
+  mix_views(prepview);
+  for (const Value v : update) h.mix(static_cast<std::uint64_t>(v));
+  for (const auto& views : updateview) mix_views(views);
+  h.mix(updateproof.size());
+  for (const auto& [key, proof] : updateproof) {
+    h.mix(key.first);
+    h.mix(key.second);
+    h.mix(proof.size());
+    for (const SignedUpdate& su : proof) {
+      h.mix(su.payload.digest());
+      h.mix(su.signature.signer);
+      h.mix(su.signature.digest);
+    }
+  }
+  h.mix(updateq.size());
+  for (const auto& [key, quorums] : updateq) {
+    h.mix(key.first);
+    h.mix(key.second);
+    h.mix(quorums.size());
+    for (const QuorumId q : quorums) h.mix(q);
+  }
+  return h.digest();
+}
 
 /// vProof: new_view_ack data per acceptor (from some quorum Q).
 using VProof = std::map<ProcessId, NewViewAckData>;
-
-/// A signed view_change<nextView> message; a quorum of them is viewProof.
-struct SignedViewChange {
-  ViewNumber next_view{0};
-  ProcessId signer{kInvalidProcess};
-  sim::Signature signature;
-
-  [[nodiscard]] static std::string payload(ViewNumber w) {
-    return "view_change|" + std::to_string(w);
-  }
-  [[nodiscard]] std::string payload() const { return payload(next_view); }
-};
 
 // --------------------------------------------------------------------------
 // Wire messages.
@@ -134,8 +183,7 @@ RQS_MESSAGE_LAYOUT(NewViewMsg, 64);
 
 struct NewViewAckMsg final : sim::TypedMessage<NewViewAckMsg> {
   NewViewAckData data;
-  ProcessId signer{kInvalidProcess};
-  sim::Signature signature;
+  sim::Signature signature;  // by the sending acceptor, over data.digest()
   [[nodiscard]] std::string_view tag() const override { return "NEW_VIEW_ACK"; }
 };
 RQS_MESSAGE_LAYOUT(NewViewAckMsg, 384);

@@ -112,7 +112,7 @@ void RqsProposer::handle_retry() {
 
 bool RqsProposer::ack_valid(const NewViewAckMsg& m) const {
   if (m.data.view != view_) return false;
-  if (!config_.authority->verify(m.signature, m.signer, m.data.payload())) {
+  if (!config_.authority->verify(m.signature, m.signature.signer, m.data)) {
     return false;
   }
   // Line 4 ("valid acks"): every claimed update must carry Updateproof
@@ -123,13 +123,11 @@ bool RqsProposer::ack_valid(const NewViewAckMsg& m) const {
       if (it == m.data.updateproof.end()) return false;
       ProcessSet signers;
       for (const SignedUpdate& su : it->second) {
-        if (su.value != m.data.update[step] || su.view != w || su.step != step) {
+        if (su.payload != UpdatePayload{m.data.update[step], w, step}) return false;
+        if (!config_.authority->verify(su.signature, su.signer(), su.payload)) {
           return false;
         }
-        if (!config_.authority->verify(su.signature, su.signer, su.payload())) {
-          return false;
-        }
-        signers.insert(su.signer);
+        signers.insert(su.signer());
       }
       if (!config_.rqs->adversary().is_basic(signers)) return false;
     }
@@ -169,7 +167,7 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
   switch (m.type()) {
     case NewViewAckMsg::kType: {
       const auto& ack = static_cast<const NewViewAckMsg&>(m);
-      if (!consulting_ || ack.signer != from) return;
+      if (!consulting_ || ack.signature.signer != from) return;
       if (!config_.acceptors.contains(from)) return;
       if (!ack_valid(ack)) return;
       acks_[from] = ack.data;
@@ -180,12 +178,10 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
       const auto& vc = static_cast<const ViewChangeMsg&>(m);
       // Fig. 14 lines 10-13.
       if (!config_.acceptors.contains(from)) return;
-      if (vc.change.signer != from) return;
-      if (!config_.authority->verify(vc.change.signature, from,
-                                     vc.change.payload())) {
+      if (!config_.authority->verify(vc.change.signature, from, vc.change.payload)) {
         return;
       }
-      const ViewNumber next = vc.change.next_view;
+      const ViewNumber next = vc.change.payload.next_view;
       view_changes_[next][from] = vc.change;
       if (next <= view_ || config_.leader_of(next) != id()) return;
       ProcessSet senders;

@@ -225,8 +225,8 @@ TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
   new_view->view = 1;
   for (const ProcessId a : config.acceptors) {
     const sim::Signer signer(*config.authority, a);
-    new_view->view_proof.push_back(
-        SignedViewChange{1, a, signer.sign(SignedViewChange::payload(1))});
+    const ViewChangePayload change{1};
+    new_view->view_proof.push_back(SignedViewChange{change, signer.sign(change)});
   }
   sim.deliver_at(sim.now(), leader, target, std::move(new_view));
   sim.run(sim.now() + 10 * sim.delta());

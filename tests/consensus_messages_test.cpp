@@ -1,5 +1,5 @@
-// Unit tests for consensus wire messages, signed-payload encodings and the
-// DecideTracker (Figure 15's three decision rules).
+// Unit tests for the signatures over consensus payloads, the payloads'
+// content digests and the DecideTracker (Figure 15's three decision rules).
 #include <gtest/gtest.h>
 
 #include "consensus/decide_tracker.hpp"
@@ -9,24 +9,93 @@
 namespace rqs::consensus {
 namespace {
 
-TEST(PayloadTest, SignedUpdateCanonical) {
-  EXPECT_EQ(SignedUpdate::payload(7, 3, 1), "update|1|3|7");
-  SignedUpdate su;
-  su.value = 7;
-  su.view = 3;
-  su.step = 2;
-  EXPECT_EQ(su.payload(), "update|2|3|7");
-  // Different fields give different payloads (no ambiguity).
-  EXPECT_NE(SignedUpdate::payload(7, 3, 1), SignedUpdate::payload(7, 3, 2));
-  EXPECT_NE(SignedUpdate::payload(7, 3, 1), SignedUpdate::payload(3, 7, 1));
+// --- Signatures over the consensus payloads ---
+
+TEST(SignatureTest, SignVerifyRoundTrip) {
+  sim::SignatureAuthority auth;
+  const sim::Signer alice(auth, 1);
+  const UpdatePayload update{7, 3, 1};
+  const sim::Signature sig = alice.sign(update);
+  EXPECT_EQ(sig.signer, 1u);
+  EXPECT_TRUE(auth.verify(sig, 1, update));
 }
 
-TEST(PayloadTest, ViewChangeCanonical) {
-  EXPECT_EQ(SignedViewChange::payload(5), "view_change|5");
-  EXPECT_NE(SignedViewChange::payload(5), SignedViewChange::payload(6));
+TEST(SignatureTest, WrongPayloadFails) {
+  sim::SignatureAuthority auth;
+  const sim::Signer alice(auth, 1);
+  const sim::Signature sig = alice.sign(UpdatePayload{7, 3, 1});
+  EXPECT_FALSE(auth.verify(sig, 1, UpdatePayload{8, 3, 1}));
+  EXPECT_FALSE(auth.verify(sig, 1, UpdatePayload{7, 3, 2}));
+  // Same numbers, other payload kind: the kind tag keeps them apart.
+  EXPECT_FALSE(auth.verify(sig, 1, ViewChangePayload{3}));
 }
 
-TEST(PayloadTest, NewViewAckBindsAllFields) {
+TEST(SignatureTest, WrongSignerFails) {
+  sim::SignatureAuthority auth;
+  const sim::Signer alice(auth, 1);
+  const UpdatePayload update{7, 3, 1};
+  const sim::Signature sig = alice.sign(update);
+  EXPECT_FALSE(auth.verify(sig, 2, update));
+  // Relabelling the signature does not make it bob's either.
+  EXPECT_FALSE(auth.verify(sim::Signature{2, sig.digest}, 2, update));
+}
+
+TEST(SignatureTest, ForgedSignatureFails) {
+  // A Byzantine process builds a Signature with the right signer and the
+  // right content digest, but the signer never signed that content.
+  sim::SignatureAuthority auth;
+  const ViewChangePayload change{5};
+  EXPECT_FALSE(auth.verify(sim::Signature{1, change.digest()}, 1, change));
+  EXPECT_FALSE(auth.verify(sim::Signature{1, 12345}, 1, change));
+}
+
+TEST(SignatureTest, ReplayOfGenuineSignatureVerifies) {
+  // Replays are allowed by the model: the signature still only vouches
+  // for the original payload.
+  sim::SignatureAuthority auth;
+  const sim::Signer alice(auth, 1);
+  const sim::Signature sig = alice.sign(UpdatePayload{1, 3, 1});
+  const sim::Signature replayed = sig;  // copied by an adversary
+  EXPECT_TRUE(auth.verify(replayed, 1, UpdatePayload{1, 3, 1}));
+  EXPECT_FALSE(auth.verify(replayed, 1, UpdatePayload{2, 3, 1}));
+}
+
+TEST(SignatureTest, SignaturesDoNotDependOnSigningOrder) {
+  // Signing is content-addressed: authorities that sign the same payloads
+  // in a different order hand out equal signatures, and each accepts the
+  // other's.
+  const UpdatePayload x{7, 3, 1};
+  const ViewChangePayload y{4};
+  sim::SignatureAuthority first;
+  sim::SignatureAuthority second;
+  const sim::Signature x_first = first.sign(1, x);
+  (void)first.sign(1, y);
+  (void)second.sign(1, y);
+  const sim::Signature x_second = second.sign(1, x);
+  EXPECT_EQ(x_first, x_second);
+  EXPECT_TRUE(second.verify(x_first, 1, x));
+  EXPECT_TRUE(first.verify(x_second, 1, x));
+}
+
+// --- Payload digests ---
+
+TEST(PayloadTest, UpdateDigestBindsEveryField) {
+  const UpdatePayload base{7, 3, 1};
+  EXPECT_EQ(UpdatePayload(base).digest(), base.digest());
+  EXPECT_NE((UpdatePayload{8, 3, 1}).digest(), base.digest());
+  EXPECT_NE((UpdatePayload{7, 4, 1}).digest(), base.digest());
+  EXPECT_NE((UpdatePayload{7, 3, 2}).digest(), base.digest());
+  EXPECT_NE((UpdatePayload{3, 7, 1}).digest(), base.digest());
+}
+
+TEST(PayloadTest, ViewChangeDigestBindsTheView) {
+  EXPECT_EQ(ViewChangePayload{5}.digest(), ViewChangePayload{5}.digest());
+  EXPECT_NE(ViewChangePayload{5}.digest(), ViewChangePayload{6}.digest());
+}
+
+TEST(PayloadTest, NewViewAckDigestBindsEveryField) {
+  sim::SignatureAuthority auth;
+  const UpdatePayload update{9, 1, 1};
   NewViewAckData a;
   a.view = 2;
   a.prep = 9;
@@ -34,36 +103,45 @@ TEST(PayloadTest, NewViewAckBindsAllFields) {
   a.update[1] = 9;
   a.updateview[1] = {1};
   a.updateq[{1, 1}] = {0};
-  const std::string base = a.payload();
+  for (const ProcessId signer : {0u, 1u, 2u}) {
+    a.updateproof[{1, 1}].push_back(
+        SignedUpdate{update, sim::Signer(auth, signer).sign(update)});
+  }
+  const std::uint64_t base = a.digest();
 
-  NewViewAckData b = a;
-  b.prep = 10;
-  EXPECT_NE(b.payload(), base);
-  b = a;
-  b.prepview.insert(3);
-  EXPECT_NE(b.payload(), base);
-  b = a;
-  b.update[2] = 4;
-  EXPECT_NE(b.payload(), base);
-  b = a;
-  b.updateq[{1, 1}].insert(1);
-  EXPECT_NE(b.payload(), base);
-  // Identical content gives identical payloads.
-  EXPECT_EQ(NewViewAckData{a}.payload(), base);
-}
+  // Identical content gives an identical digest.
+  EXPECT_EQ(NewViewAckData{a}.digest(), base);
 
-TEST(PayloadTest, NewViewAckUpdateqEncodingPinned) {
-  // UpdateQ is a QuorumIdSet; it iterates ascending like the std::set it
-  // replaced, so the signed encoding is the same string as before.
-  NewViewAckData a;
-  a.view = 2;
-  a.prep = 9;
-  a.prepview = {1, 2};
-  a.update[1] = 9;
-  a.updateview[1] = {1};
-  a.updateq[{1, 1}] = {3, 1, 2};
-  EXPECT_EQ(a.payload(),
-            "nvack|2|p=9|pv=1,2,|u1=9:1,|u2=-9223372036854775808:|q1.1=1,2,3,");
+  std::vector<NewViewAckData> variants;
+  const auto vary = [&](auto&& mutate) {
+    NewViewAckData b = a;
+    mutate(b);
+    variants.push_back(b);
+  };
+  vary([](NewViewAckData& b) { b.view = 3; });
+  vary([](NewViewAckData& b) { b.prep = 10; });
+  vary([](NewViewAckData& b) { b.prepview.insert(3); });
+  vary([](NewViewAckData& b) { b.update[1] = 4; });
+  vary([](NewViewAckData& b) { b.update[2] = 4; });
+  vary([](NewViewAckData& b) { b.updateview[1].insert(2); });
+  vary([](NewViewAckData& b) { b.updateview[2].insert(1); });
+  vary([](NewViewAckData& b) { b.updateq[{1, 1}].insert(1); });
+  vary([](NewViewAckData& b) { b.updateq[{2, 1}] = {0}; });
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}].pop_back(); });
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}][0].payload.value = 8; });
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}][0].payload.view = 2; });
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}][0].payload.step = 2; });
+  // The same signature presented as another signer's.
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}][0].signature.signer = 3; });
+  vary([](NewViewAckData& b) { b.updateproof[{1, 1}][0].signature.digest ^= 1; });
+  vary([](NewViewAckData& b) { std::swap(b.updateproof[{1, 1}][0], b.updateproof[{1, 1}][1]); });
+  vary([](NewViewAckData& b) {
+    b.updateproof[{2, 1}] = b.updateproof[{1, 1}];
+    b.updateproof.erase({1, 1});
+  });
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(variants[i].digest(), base) << "variant " << i;
+  }
 }
 
 class DecideTrackerTest : public ::testing::Test {

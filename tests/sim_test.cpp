@@ -1,10 +1,10 @@
 // Tests for the discrete-event simulator: event ordering, timers, network
-// rules, crashes and the simulated signature authority.
+// rules and crashes. The signature authority is tested over the payloads
+// it signs, in consensus_messages_test.
 #include <gtest/gtest.h>
 
 #include "sim/network.hpp"
 #include "sim/process.hpp"
-#include "sim/signature.hpp"
 #include "sim/simulation.hpp"
 
 namespace rqs::sim {
@@ -268,47 +268,6 @@ TEST(SimTest, MessageCountersTrack) {
   sim.run();
   EXPECT_EQ(sim.network().messages_sent(), 2u);
   EXPECT_EQ(sim.messages_delivered(), 2u);
-}
-
-// --- Signatures ---
-
-TEST(SignatureTest, SignVerifyRoundTrip) {
-  SignatureAuthority auth;
-  const Signer alice(auth, 1);
-  const Signature sig = alice.sign("hello");
-  EXPECT_TRUE(auth.verify(sig, 1, "hello"));
-}
-
-TEST(SignatureTest, WrongPayloadFails) {
-  SignatureAuthority auth;
-  const Signer alice(auth, 1);
-  const Signature sig = alice.sign("hello");
-  EXPECT_FALSE(auth.verify(sig, 1, "bye"));
-}
-
-TEST(SignatureTest, WrongSignerFails) {
-  SignatureAuthority auth;
-  const Signer alice(auth, 1);
-  const Signature sig = alice.sign("hello");
-  EXPECT_FALSE(auth.verify(sig, 2, "hello"));
-}
-
-TEST(SignatureTest, ForgedSignatureFails) {
-  SignatureAuthority auth;
-  // A Byzantine process fabricates a Signature struct out of thin air.
-  const Signature forged{1, 12345};
-  EXPECT_FALSE(auth.verify(forged, 1, "anything"));
-}
-
-TEST(SignatureTest, ReplayOfGenuineSignatureVerifies) {
-  // Replays are allowed by the model: the signature still only vouches
-  // for the original payload.
-  SignatureAuthority auth;
-  const Signer alice(auth, 1);
-  const Signature sig = alice.sign("v=1,view=3");
-  const Signature replayed = sig;  // copied by an adversary
-  EXPECT_TRUE(auth.verify(replayed, 1, "v=1,view=3"));
-  EXPECT_FALSE(auth.verify(replayed, 1, "v=2,view=3"));
 }
 
 }  // namespace
