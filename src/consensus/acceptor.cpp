@@ -94,7 +94,7 @@ void RqsAcceptor::handle_prepare(ProcessId from, const PrepareMsg& m) {
   }
   if (view_ != 0) {
     if (from != config_.leader_of(view_)) return;
-    if (!vproof_valid(m.vproof, m.vproof_quorum)) return;
+    if (!vproof_valid(m)) return;
     const ChooseResult chosen =
         choose(m.value, m.vproof, m.vproof_quorum, *config_.rqs);
     if (chosen.abort || chosen.value != m.value) return;
@@ -271,37 +271,22 @@ void RqsAcceptor::try_complete_pending_ack() {
   pending_ack_.reset();
 }
 
-bool RqsAcceptor::vproof_valid(const VProof& vproof, ProcessSet q) const {
-  // Exactly the members of Q must have a signature-valid ack with valid
-  // Updateproof sets. (Acceptors re-validate what the proposer validated:
-  // a Byzantine proposer may ship garbage.) Acks from outside Q would
+bool RqsAcceptor::vproof_valid(const PrepareMsg& m) const {
+  // Exactly the members of Q must have a valid ack for this view, signed
+  // by that member. (Acceptors re-validate what the proposer validated: a
+  // Byzantine proposer may ship forged acks.) Acks from outside Q would
   // widen choose()'s value and view universe, so a padded proof is
   // rejected like an incomplete one.
+  const ProcessSet q = m.vproof_quorum;
   if (!config_.rqs->find(q).has_value()) return false;
-  if (vproof.size() != q.size()) return false;
-  for (const ProcessId a : q) {
-    const auto it = vproof.find(a);
-    if (it == vproof.end()) return false;
-    if (!ack_signatures_valid(it->second)) return false;
+  if (m.vproof.size() != q.size() || m.vproof_signatures.size() != q.size()) {
+    return false;
   }
-  return true;
-}
-
-bool RqsAcceptor::ack_signatures_valid(const NewViewAckData& ack) const {
-  for (RoundNumber step = 1; step <= 2; ++step) {
-    for (const ViewNumber w : ack.updateview[step]) {
-      const auto it = ack.updateproof.find(StepView{step, w});
-      if (it == ack.updateproof.end()) return false;
-      ProcessSet signers;
-      for (const SignedUpdate& su : it->second) {
-        if (su.payload != UpdatePayload{ack.update[step], w, step}) return false;
-        if (!config_.authority->verify(su.signature, su.signer(), su.payload)) {
-          return false;
-        }
-        signers.insert(su.signer());
-      }
-      if (!config_.rqs->adversary().is_basic(signers)) return false;
-    }
+  auto signature = m.vproof_signatures.begin();
+  for (const ProcessId a : q) {
+    const auto it = m.vproof.find(a);
+    if (it == m.vproof.end()) return false;
+    if (!config_.ack_valid(a, it->second, *signature++, m.view)) return false;
   }
   return true;
 }

@@ -55,10 +55,9 @@ class RqsAcceptor : public sim::Process {
   void send_update(RoundNumber step, Value v, ViewNumber view, ProcessSet covered);
   void try_complete_pending_ack();
   void on_decided(Value v);
-  [[nodiscard]] bool vproof_valid(const VProof& vproof, ProcessSet q) const;
+  [[nodiscard]] bool vproof_valid(const PrepareMsg& m) const;
   [[nodiscard]] bool view_proof_valid(const std::vector<SignedViewChange>& proof,
                                       ViewNumber view) const;
-  [[nodiscard]] bool ack_signatures_valid(const NewViewAckData& ack) const;
 
   // --- Election module ---
   void arm_suspect_timer();

@@ -147,6 +147,9 @@ struct PrepareMsg final : sim::TypedMessage<PrepareMsg> {
   ViewNumber view{0};
   VProof vproof;           // empty (nil) in initView
   ProcessSet vproof_quorum;  // the quorum Q the vProof came from
+  /// Each vProof ack's own signature, one per member of Q in ascending id
+  /// order: acceptors verify them, so a leader cannot forge acks.
+  std::vector<sim::Signature> vproof_signatures;
   [[nodiscard]] std::string_view tag() const override { return "PREPARE"; }
 };
 RQS_MESSAGE_LAYOUT(PrepareMsg, 128);

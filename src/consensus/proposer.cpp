@@ -31,7 +31,7 @@ void RqsProposer::run_propose() {
       ob->count("consensus.propose.fast_path");
       ob->phase(now(), id(), obs::kPhaseProposeFast, static_cast<std::uint64_t>(value_));
     }
-    send_prepare(value_, VProof{}, ProcessSet{});
+    send_prepare(value_, VProof{}, {}, ProcessSet{});
     return;
   }
   // Consult phase (Fig. 12 line 2).
@@ -42,6 +42,7 @@ void RqsProposer::run_propose() {
   consulting_ = true;
   prepare_sent_ = false;
   acks_.clear();
+  ack_signatures_.clear();
   faulty_.clear();
   prepared_quorums_.clear();
   auto msg = make_msg<NewViewMsg>();
@@ -54,9 +55,12 @@ void RqsProposer::run_propose() {
   }
 }
 
-void RqsProposer::send_prepare(Value v, const VProof& vproof, ProcessSet q) {
+void RqsProposer::send_prepare(Value v, const VProof& vproof,
+                               std::vector<sim::Signature> signatures,
+                               ProcessSet q) {
   prepared_value_ = v;
   prepared_vproof_ = vproof;
+  prepared_signatures_ = std::move(signatures);
   prepared_quorum_ = q;
   prepare_sent_ = true;
   broadcast_prepare();
@@ -73,6 +77,7 @@ void RqsProposer::broadcast_prepare() {
     msg->view = view_;
     msg->vproof = prepared_vproof_;
     msg->vproof_quorum = prepared_quorum_;
+    msg->vproof_signatures = prepared_signatures_;
     send(target, std::move(msg));
   }
 }
@@ -110,31 +115,6 @@ void RqsProposer::handle_retry() {
   arm_retry();
 }
 
-bool RqsProposer::ack_valid(const NewViewAckMsg& m) const {
-  if (m.data.view != view_) return false;
-  if (!config_.authority->verify(m.signature, m.signature.signer, m.data)) {
-    return false;
-  }
-  // Line 4 ("valid acks"): every claimed update must carry Updateproof
-  // signatures from a basic subset.
-  for (RoundNumber step = 1; step <= 2; ++step) {
-    for (const ViewNumber w : m.data.updateview[step]) {
-      const auto it = m.data.updateproof.find(StepView{step, w});
-      if (it == m.data.updateproof.end()) return false;
-      ProcessSet signers;
-      for (const SignedUpdate& su : it->second) {
-        if (su.payload != UpdatePayload{m.data.update[step], w, step}) return false;
-        if (!config_.authority->verify(su.signature, su.signer(), su.payload)) {
-          return false;
-        }
-        signers.insert(su.signer());
-      }
-      if (!config_.rqs->adversary().is_basic(signers)) return false;
-    }
-  }
-  return true;
-}
-
 void RqsProposer::try_choose_and_prepare() {
   // Lines 3-8: look for a quorum of valid acks not yet known faulty.
   ProcessSet acked;
@@ -157,7 +137,9 @@ void RqsProposer::try_choose_and_prepare() {
     }
     prepared_quorums_.insert(quorum);
     consulting_ = false;
-    send_prepare(chosen.value, vproof, quorum);  // line 9
+    std::vector<sim::Signature> signatures;
+    for (const ProcessId a : quorum) signatures.push_back(ack_signatures_[a]);
+    send_prepare(chosen.value, vproof, std::move(signatures), quorum);  // line 9
     return true;
   });
 }
@@ -167,10 +149,11 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
   switch (m.type()) {
     case NewViewAckMsg::kType: {
       const auto& ack = static_cast<const NewViewAckMsg&>(m);
-      if (!consulting_ || ack.signature.signer != from) return;
-      if (!config_.acceptors.contains(from)) return;
-      if (!ack_valid(ack)) return;
+      if (!consulting_ || !config_.acceptors.contains(from)) return;
+      // Line 4: only valid acks count.
+      if (!config_.ack_valid(from, ack.data, ack.signature, view_)) return;
       acks_[from] = ack.data;
+      ack_signatures_[from] = ack.signature;
       try_choose_and_prepare();
       return;
     }

@@ -51,9 +51,9 @@ class RqsProposer : public sim::Process {
  private:
   void run_propose();
   void try_choose_and_prepare();
-  void send_prepare(Value v, const VProof& vproof, ProcessSet q);
+  void send_prepare(Value v, const VProof& vproof,
+                    std::vector<sim::Signature> signatures, ProcessSet q);
   void broadcast_prepare();
-  [[nodiscard]] bool ack_valid(const NewViewAckMsg& m) const;
   void arm_retry();
   void handle_retry();
 
@@ -68,6 +68,7 @@ class RqsProposer : public sim::Process {
 
   // Consult phase bookkeeping (for view_).
   VProof acks_;
+  std::map<ProcessId, sim::Signature> ack_signatures_;
   std::set<ProcessSet> faulty_;  // quorums whose choose() aborted
   std::set<ProcessSet> prepared_quorums_;  // avoid duplicate prepares
   bool consulting_{false};
@@ -88,14 +89,16 @@ class RqsProposer : public sim::Process {
   std::uint32_t attempt_{0};  // retransmissions within the current view
   Value prepared_value_{kNil};
   VProof prepared_vproof_;
+  std::vector<sim::Signature> prepared_signatures_;
   ProcessSet prepared_quorum_;
   bool prepare_sent_{false};
 };
 
 /// A Byzantine proposer that equivocates in the initial view: even-id
 /// acceptors receive one value, odd-id acceptors another. (In later views
-/// acceptors validate the vProof, so equivocation is only interesting in
-/// view 0.)
+/// every acceptor verifies each vProof ack's signature and Updateproof and
+/// re-runs choose(), so it prepares only the value the signed vProof
+/// forces: equivocation is only interesting in view 0.)
 class ByzantineProposer final : public RqsProposer {
  public:
   ByzantineProposer(sim::Simulation& sim, ProcessId id,

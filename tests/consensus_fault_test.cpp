@@ -212,49 +212,140 @@ TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
   // choose() reads a vProof holding exactly the acks of quorum Q. A
   // Byzantine leader padding it with an ack from outside Q would widen the
   // value and view universe choose() scans, so acceptors ignore such a
-  // prepare — and accept the same prepare unpadded.
-  ConsensusCluster cluster(make_3t1_instantiation(1), 2, 1);
+  // prepare, even when the pad is a genuine signed ack. They also ignore
+  // acks whose signatures were never made, and accept the same prepare
+  // when it carries exactly the acks Q's members signed.
+  ConsensusCluster cluster(make_3t1_instantiation(1), ClusterConfig{.proposer_count = 2});
   sim::Simulation& sim = cluster.sim();
   const ConsensusConfig& config = cluster.config();
   const ProcessId leader = config.leader_of(1);
   const ProcessId target = 0;
 
-  // Move the target to view 1 with a genuine view proof: view_change<1>
-  // signed by every acceptor.
-  auto new_view = sim::make_message<NewViewMsg>();
-  new_view->view = 1;
-  for (const ProcessId a : config.acceptors) {
-    const sim::Signer signer(*config.authority, a);
-    const ViewChangePayload change{1};
-    new_view->view_proof.push_back(SignedViewChange{change, signer.sign(change)});
+  // Capture the genuine new_view_acks on their way to the leader.
+  std::map<ProcessId, std::pair<NewViewAckData, sim::Signature>> acks;
+  cluster.network().add_rule(
+      [&acks](ProcessId from, ProcessId, sim::SimTime, const sim::Message& m)
+          -> std::optional<std::optional<sim::SimTime>> {
+        if (const auto* ack = sim::msg_cast<NewViewAckMsg>(m)) {
+          acks[from] = {ack->data, ack->signature};
+        }
+        return std::nullopt;
+      });
+
+  // Move every acceptor to view 1 with a genuine view proof: view_change<1>
+  // signed by every acceptor. Each answers with a signed "fresh" ack.
+  for (const ProcessId to : config.acceptors) {
+    auto new_view = sim::make_message<NewViewMsg>();
+    new_view->view = 1;
+    for (const ProcessId a : config.acceptors) {
+      const ViewChangePayload change{1};
+      new_view->view_proof.push_back(
+          SignedViewChange{change, sim::Signer(*config.authority, a).sign(change)});
+    }
+    sim.deliver_at(sim.now(), leader, to, std::move(new_view));
   }
-  sim.deliver_at(sim.now(), leader, target, std::move(new_view));
   sim.run(sim.now() + 10 * sim.delta());
   ASSERT_EQ(cluster.acceptor(target).current_view(), 1u);
+  ASSERT_EQ(acks.size(), 4u);
 
   // Fresh acks from Q = {1, 2, 3}: no candidate, so choose() keeps 7.
   const ProcessSet q{1, 2, 3};
-  const auto prepare = [&](bool padded) {
+  enum class Proof { kPadded, kUnsigned, kGenuine };
+  const auto prepare = [&](Proof proof) {
     auto msg = sim::make_message<PrepareMsg>();
     msg->value = 7;
     msg->view = 1;
     msg->vproof_quorum = q;
-    for (const ProcessId a : q) msg->vproof[a].view = 1;
-    if (padded) {
-      NewViewAckData& pad = msg->vproof[0];  // acceptor 0 is outside Q
-      pad.view = 1;
-      pad.prep = 9;
-      pad.prepview = {0};
+    for (const ProcessId a : q) {
+      NewViewAckData data = acks.at(a).first;
+      sim::Signature signature = acks.at(a).second;
+      if (proof == Proof::kUnsigned) {
+        // A claim that 7 was prepared in view 0, which choose() would
+        // accept, under a signature with the right signer and digest that
+        // the signer never made.
+        data.prep = 7;
+        data.prepview = {0};
+        signature = sim::Signature{a, data.digest()};
+      }
+      msg->vproof[a] = data;
+      msg->vproof_signatures.push_back(signature);
+    }
+    if (proof == Proof::kPadded) {
+      msg->vproof[target] = acks.at(target).first;  // outside Q
+      msg->vproof_signatures.insert(msg->vproof_signatures.begin(),
+                                    acks.at(target).second);
     }
     return msg;
   };
-  sim.deliver_at(sim.now(), leader, target, prepare(/*padded=*/true));
-  sim.run(sim.now() + 10 * sim.delta());
-  EXPECT_EQ(cluster.acceptor(target).prepared(), kNil);
+  // choose() alone would accept the unsigned proof: only its signatures
+  // stand in the way.
+  const ChooseResult unsigned_choice =
+      choose(7, prepare(Proof::kUnsigned)->vproof, q, cluster.rqs());
+  ASSERT_FALSE(unsigned_choice.abort);
+  ASSERT_EQ(unsigned_choice.value, 7);
+  for (const Proof rejected : {Proof::kPadded, Proof::kUnsigned}) {
+    sim.deliver_at(sim.now(), leader, target, prepare(rejected));
+    sim.run(sim.now() + 10 * sim.delta());
+    EXPECT_EQ(cluster.acceptor(target).prepared(), kNil);
+  }
 
-  sim.deliver_at(sim.now(), leader, target, prepare(/*padded=*/false));
+  sim.deliver_at(sim.now(), leader, target, prepare(Proof::kGenuine));
   sim.run(sim.now() + 10 * sim.delta());
   EXPECT_EQ(cluster.acceptor(target).prepared(), 7);
+}
+
+TEST(ConsensusFaultTest, ForgedVProofAfterDecisionIsRejected) {
+  // Value 100 is decided in view 0 and learner L0 learns it; learner L1
+  // hears nothing of view 0. Acceptors never see each other's decisions,
+  // so their suspicion timers elect proposer 1 for view 1, and the
+  // genuine view-1 prepare is lost. The view-1 leader then sends a prepare
+  // for 7 whose vProof holds "fresh" acks for all four acceptors that no
+  // acceptor signed. Acceptors must reject it: preparing 7 would let L1
+  // learn 7 and break agreement.
+  ClusterConfig cfg;
+  cfg.proposer_count = 2;
+  cfg.learner_count = 2;
+  ConsensusCluster cluster(make_3t1_instantiation(1), cfg);
+  sim::Simulation& sim = cluster.sim();
+  const ConsensusConfig& config = cluster.config();
+  const ProcessId leader = config.leader_of(1);
+  const ProcessId l1 = kFirstLearnerId + 1;
+  cluster.network().add_rule(
+      [leader, l1](ProcessId from, ProcessId to, sim::SimTime,
+                            const sim::Message& m)
+          -> std::optional<std::optional<sim::SimTime>> {
+        const auto* up = sim::msg_cast<UpdateMsg>(m);
+        const bool drop = sim::msg_cast<DecisionMsg>(m) != nullptr ||
+                          (to == l1 && up != nullptr && up->view == 0) ||
+                          (from == leader && sim::msg_cast<PrepareMsg>(m) != nullptr);
+        if (drop) return std::optional<sim::SimTime>{};
+        return std::nullopt;
+      });
+  cluster.propose(0, 100);
+  cluster.propose(1, 100);
+  sim.run(10 * sim.delta());
+  ASSERT_TRUE(cluster.learner(0).learned());
+  ASSERT_EQ(cluster.learner(0).learned_value(), 100);
+  ASSERT_FALSE(cluster.learner(1).learned());
+  for (const ProcessId a : config.acceptors) {
+    ASSERT_EQ(cluster.acceptor(a).current_view(), 1u) << "acceptor " << a;
+  }
+
+  const ProcessSet everyone = config.acceptors;
+  for (const ProcessId a : everyone) {
+    auto prepare = sim::make_message<PrepareMsg>();
+    prepare->value = 7;
+    prepare->view = 1;
+    prepare->vproof_quorum = everyone;
+    for (const ProcessId b : everyone) prepare->vproof[b].view = 1;
+    sim.deliver_at(sim.now(), leader, a, std::move(prepare));
+  }
+  sim.run(sim.now() + 3 * sim.delta());
+  for (const ProcessId a : everyone) {
+    EXPECT_EQ(cluster.acceptor(a).prepared(), 100) << "acceptor " << a;
+  }
+  EXPECT_FALSE(cluster.learner(1).learned() && cluster.learner(1).learned_value() != 100)
+      << "L1 learned " << cluster.learner(1).learned_value();
 }
 
 }  // namespace
