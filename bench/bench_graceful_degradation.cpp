@@ -18,7 +18,8 @@ void degradation_row(std::size_t t, std::size_t crashes) {
   const RoundNumber wr = sc.blocking_write(1);
   const auto rd = sc.blocking_read(0);
   // Consensus.
-  consensus::ConsensusCluster cc(make_3t1_instantiation(t), 1, 1);
+  consensus::ConsensusCluster cc(make_3t1_instantiation(t),
+                                 consensus::ClusterConfig{});
   for (std::size_t i = 0; i < crashes; ++i) {
     cc.sim().crash(static_cast<ProcessId>(i));
   }

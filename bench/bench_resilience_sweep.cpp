@@ -45,7 +45,7 @@ SweepResult sweep(const RefinedQuorumSystem& sys, std::size_t max_crashes) {
     }
     // Consensus liveness: learner learns within a deadline.
     {
-      consensus::ConsensusCluster cc(sys, 1, 1);
+      consensus::ConsensusCluster cc(sys, consensus::ClusterConfig{});
       for (const ProcessId id : crashed) cc.sim().crash(id);
       cc.propose(0, 7);
       if (cc.run_until_learned(100)) ++out.consensus_live;
