@@ -2,20 +2,17 @@
 // (Figures 9-15).
 //
 // Three kinds of payloads are signed in the protocol:
-//   * UpdatePayload, an update_step<v, w> message (archived in acceptors'
-//     `old` sets and signed on demand via sign_req/sign_ack to build
-//     Updateproof),
-//   * ViewChangePayload, a view_change<nextView> message (collected into
-//     viewProof), and
-//   * NewViewAckData, a new_view_ack message (collected into vProof).
-// Each has a 64-bit content digest that starts with a kind tag, so payloads
-// of different kinds never share an encoding. The digest of NewViewAckData
-// folds every field, including each Updateproof entry's signer and
-// signature. The SignatureAuthority checks (signer, digest) pairs: exactly
-// the unforgeability the model grants (Section 4.1), up to 64-bit digest
-// collisions. A Byzantine acceptor may sign lies about its own state and
-// replay signatures it has seen; it cannot make a benign acceptor's
-// signature vouch for content that acceptor never signed.
+//   * UpdatePayload, update_step<v, w> (archived in acceptors' `old` sets
+//     and signed on demand via sign_req/sign_ack to build Updateproof),
+//   * ViewChangePayload, view_change<nextView> (collected into viewProof),
+//   * NewViewAckData, a new_view_ack (collected into vProof).
+// Each has a 64-bit content digest that starts with a kind tag; the
+// NewViewAckData digest folds every field, including each Updateproof
+// entry's signer and signature. The SignatureAuthority checks (signer,
+// digest) pairs: exactly the unforgeability the model grants (Section
+// 4.1), up to 64-bit digest collisions. A Byzantine acceptor may sign lies
+// about its own state and replay signatures it has seen; it cannot make a
+// benign acceptor's signature vouch for content that acceptor never signed.
 #pragma once
 
 #include <array>
@@ -39,6 +36,15 @@ inline constexpr Value kNil = kBottom;
 /// First word of each signed payload's digest.
 enum class PayloadKind : std::uint64_t { kUpdate = 1, kViewChange = 2, kNewViewAck = 3 };
 
+/// Digest of a fixed-size payload: its kind, then its fields.
+template <typename... Fields>
+[[nodiscard]] constexpr std::uint64_t payload_digest(PayloadKind kind, Fields... fields) {
+  Fnv64 h;
+  h.mix(static_cast<std::uint64_t>(kind));
+  (h.mix(static_cast<std::uint64_t>(fields)), ...);
+  return h.digest();
+}
+
 /// The content of an update_step<v, w> message an acceptor sent.
 struct UpdatePayload {
   Value value{kNil};
@@ -46,12 +52,7 @@ struct UpdatePayload {
   RoundNumber step{1};  // 1 or 2
 
   [[nodiscard]] constexpr std::uint64_t digest() const noexcept {
-    Fnv64 h;
-    h.mix(static_cast<std::uint64_t>(PayloadKind::kUpdate));
-    h.mix(static_cast<std::uint64_t>(value));
-    h.mix(view);
-    h.mix(step);
-    return h.digest();
+    return payload_digest(PayloadKind::kUpdate, value, view, step);
   }
 
   friend auto operator<=>(const UpdatePayload&, const UpdatePayload&) = default;
@@ -62,15 +63,12 @@ struct ViewChangePayload {
   ViewNumber next_view{0};
 
   [[nodiscard]] constexpr std::uint64_t digest() const noexcept {
-    Fnv64 h;
-    h.mix(static_cast<std::uint64_t>(PayloadKind::kViewChange));
-    h.mix(next_view);
-    return h.digest();
+    return payload_digest(PayloadKind::kViewChange, next_view);
   }
 };
 
 /// A payload together with its signature; the signer is the signature's.
-template <sim::Signable P>
+template <typename P>
 struct Signed {
   P payload;
   sim::Signature signature;
@@ -99,41 +97,39 @@ struct NewViewAckData {
   std::map<StepView, QuorumIdSet> updateq;
 
   /// Content digest over every field: what the ack's signature vouches for.
-  [[nodiscard]] std::uint64_t digest() const noexcept;
-};
-
-inline std::uint64_t NewViewAckData::digest() const noexcept {
-  Fnv64 h;
-  const auto mix_views = [&h](const std::set<ViewNumber>& views) {
-    h.mix(views.size());
-    for (const ViewNumber w : views) h.mix(w);
-  };
-  h.mix(static_cast<std::uint64_t>(PayloadKind::kNewViewAck));
-  h.mix(view);
-  h.mix(static_cast<std::uint64_t>(prep));
-  mix_views(prepview);
-  for (const Value v : update) h.mix(static_cast<std::uint64_t>(v));
-  for (const auto& views : updateview) mix_views(views);
-  h.mix(updateproof.size());
-  for (const auto& [key, proof] : updateproof) {
-    h.mix(key.first);
-    h.mix(key.second);
-    h.mix(proof.size());
-    for (const SignedUpdate& su : proof) {
-      h.mix(su.payload.digest());
-      h.mix(su.signature.signer);
-      h.mix(su.signature.digest);
+  [[nodiscard]] std::uint64_t digest() const noexcept {
+    Fnv64 h;
+    const auto mix_views = [&h](const std::set<ViewNumber>& views) {
+      h.mix(views.size());
+      for (const ViewNumber w : views) h.mix(w);
+    };
+    h.mix(static_cast<std::uint64_t>(PayloadKind::kNewViewAck));
+    h.mix(view);
+    h.mix(static_cast<std::uint64_t>(prep));
+    mix_views(prepview);
+    for (const Value v : update) h.mix(static_cast<std::uint64_t>(v));
+    for (const auto& views : updateview) mix_views(views);
+    h.mix(updateproof.size());
+    for (const auto& [key, proof] : updateproof) {
+      h.mix(key.first);
+      h.mix(key.second);
+      h.mix(proof.size());
+      for (const SignedUpdate& su : proof) {
+        h.mix(su.payload.digest());
+        h.mix(su.signature.signer);
+        h.mix(su.signature.digest);
+      }
     }
+    h.mix(updateq.size());
+    for (const auto& [key, quorums] : updateq) {
+      h.mix(key.first);
+      h.mix(key.second);
+      h.mix(quorums.size());
+      for (const QuorumId q : quorums) h.mix(q);
+    }
+    return h.digest();
   }
-  h.mix(updateq.size());
-  for (const auto& [key, quorums] : updateq) {
-    h.mix(key.first);
-    h.mix(key.second);
-    h.mix(quorums.size());
-    for (const QuorumId q : quorums) h.mix(q);
-  }
-  return h.digest();
-}
+};
 
 /// vProof: new_view_ack data per acceptor (from some quorum Q).
 using VProof = std::map<ProcessId, NewViewAckData>;

@@ -23,7 +23,6 @@
 // of a private key.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -31,12 +30,6 @@
 #include "common/types.hpp"
 
 namespace rqs::sim {
-
-/// A fixed-size payload that names its content by a 64-bit digest.
-template <typename P>
-concept Signable = requires(const P& p) {
-  { p.digest() } -> std::same_as<std::uint64_t>;
-};
 
 struct Signature {
   ProcessId signer{kInvalidProcess};
@@ -47,8 +40,9 @@ struct Signature {
 
 class SignatureAuthority {
  public:
-  /// Records that `signer` signed `payload` and returns the signature.
-  template <Signable P>
+  /// Records that `signer` signed `payload` (any type with a 64-bit
+  /// `digest()` of its content) and returns the signature.
+  template <typename P>
   [[nodiscard]] Signature sign(ProcessId signer, const P& payload) {
     const Signature sig{signer, payload.digest()};
     signed_.insert({sig.signer, sig.digest});
@@ -56,7 +50,7 @@ class SignatureAuthority {
   }
 
   /// True iff `sig` is a genuine signature by `claimed` over `payload`.
-  template <Signable P>
+  template <typename P>
   [[nodiscard]] bool verify(const Signature& sig, ProcessId claimed,
                             const P& payload) const {
     return sig.signer == claimed && sig.digest == payload.digest() &&
@@ -73,7 +67,7 @@ class Signer {
   Signer(SignatureAuthority& authority, ProcessId owner)
       : authority_(&authority), owner_(owner) {}
 
-  template <Signable P>
+  template <typename P>
   [[nodiscard]] Signature sign(const P& payload) const {
     return authority_->sign(owner_, payload);
   }
