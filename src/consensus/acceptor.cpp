@@ -265,8 +265,7 @@ void RqsAcceptor::try_complete_pending_ack() {
   data = ack_to_send(data);
 
   auto ack = make_msg<NewViewAckMsg>();
-  ack->data = data;
-  ack->signature = signer_.sign(data);
+  ack->ack = SignedNewViewAck{data, signer_.sign(data)};
   send(pending_ack_->proposer, std::move(ack));
   pending_ack_.reset();
 }
@@ -282,11 +281,12 @@ bool RqsAcceptor::vproof_valid(const PrepareMsg& m) const {
   if (m.vproof.size() != q.size() || m.vproof_signatures.size() != q.size()) {
     return false;
   }
-  auto signature = m.vproof_signatures.begin();
   for (const ProcessId a : q) {
-    const auto it = m.vproof.find(a);
-    if (it == m.vproof.end()) return false;
-    if (!config_.ack_valid(a, it->second, *signature++, m.view)) return false;
+    const auto ack = m.vproof.find(a);
+    const auto signature =
+        std::ranges::find(m.vproof_signatures, a, &sim::Signature::signer);
+    if (ack == m.vproof.end() || signature == m.vproof_signatures.end()) return false;
+    if (!config_.ack_valid(a, ack->second, *signature, m.view)) return false;
   }
   return true;
 }

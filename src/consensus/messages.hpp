@@ -131,6 +131,9 @@ struct NewViewAckData {
   }
 };
 
+/// A signed new_view_ack, as the proposer collects it.
+using SignedNewViewAck = Signed<NewViewAckData>;
+
 /// vProof: new_view_ack data per acceptor (from some quorum Q).
 using VProof = std::map<ProcessId, NewViewAckData>;
 
@@ -143,8 +146,9 @@ struct PrepareMsg final : sim::TypedMessage<PrepareMsg> {
   ViewNumber view{0};
   VProof vproof;           // empty (nil) in initView
   ProcessSet vproof_quorum;  // the quorum Q the vProof came from
-  /// Each vProof ack's own signature, one per member of Q in ascending id
-  /// order: acceptors verify them, so a leader cannot forge acks.
+  /// Each vProof ack's own signature, one per member of Q. Acceptors look
+  /// each member's signature up by its signer and verify it, so a leader
+  /// cannot forge acks; the order carries no meaning.
   std::vector<sim::Signature> vproof_signatures;
   [[nodiscard]] std::string_view tag() const override { return "PREPARE"; }
 };
@@ -181,8 +185,7 @@ struct NewViewMsg final : sim::TypedMessage<NewViewMsg> {
 RQS_MESSAGE_LAYOUT(NewViewMsg, 64);
 
 struct NewViewAckMsg final : sim::TypedMessage<NewViewAckMsg> {
-  NewViewAckData data;
-  sim::Signature signature;  // by the sending acceptor, over data.digest()
+  SignedNewViewAck ack;  // signed by the sending acceptor
   [[nodiscard]] std::string_view tag() const override { return "NEW_VIEW_ACK"; }
 };
 RQS_MESSAGE_LAYOUT(NewViewAckMsg, 384);

@@ -31,7 +31,7 @@ void RqsProposer::run_propose() {
       ob->count("consensus.propose.fast_path");
       ob->phase(now(), id(), obs::kPhaseProposeFast, static_cast<std::uint64_t>(value_));
     }
-    send_prepare(value_, VProof{}, {}, ProcessSet{});
+    send_prepare(value_, VProof{}, ProcessSet{});
     return;
   }
   // Consult phase (Fig. 12 line 2).
@@ -42,7 +42,6 @@ void RqsProposer::run_propose() {
   consulting_ = true;
   prepare_sent_ = false;
   acks_.clear();
-  ack_signatures_.clear();
   faulty_.clear();
   prepared_quorums_.clear();
   auto msg = make_msg<NewViewMsg>();
@@ -55,12 +54,9 @@ void RqsProposer::run_propose() {
   }
 }
 
-void RqsProposer::send_prepare(Value v, const VProof& vproof,
-                               std::vector<sim::Signature> signatures,
-                               ProcessSet q) {
+void RqsProposer::send_prepare(Value v, const VProof& vproof, ProcessSet q) {
   prepared_value_ = v;
   prepared_vproof_ = vproof;
-  prepared_signatures_ = std::move(signatures);
   prepared_quorum_ = q;
   prepare_sent_ = true;
   broadcast_prepare();
@@ -71,13 +67,17 @@ void RqsProposer::send_prepare(Value v, const VProof& vproof,
 }
 
 void RqsProposer::broadcast_prepare() {
+  // Each vProof ack travels with its signature. acks_ stays fixed from the
+  // prepare until the next consult, which clears it along with the prepare.
+  std::vector<sim::Signature> signatures;
+  for (const ProcessId a : prepared_quorum_) signatures.push_back(acks_.at(a).signature);
   for (const ProcessId target : config_.acceptors) {
     auto msg = make_msg<PrepareMsg>();
     msg->value = prepare_value_for(prepared_value_, target);
     msg->view = view_;
     msg->vproof = prepared_vproof_;
     msg->vproof_quorum = prepared_quorum_;
-    msg->vproof_signatures = prepared_signatures_;
+    msg->vproof_signatures = signatures;
     send(target, std::move(msg));
   }
 }
@@ -125,7 +125,7 @@ void RqsProposer::try_choose_and_prepare() {
     if (prepared_quorums_.find(quorum) != prepared_quorums_.end()) return false;
     // Restrict the proof to exactly Q's members.
     VProof vproof;
-    for (const ProcessId a : quorum) vproof[a] = acks_[a];
+    for (const ProcessId a : quorum) vproof[a] = acks_.at(a).payload;
     const ChooseResult chosen = choose(value_, vproof, quorum, *config_.rqs);
     if (chosen.abort) {
       if (auto* ob = sim().observer()) {
@@ -137,9 +137,7 @@ void RqsProposer::try_choose_and_prepare() {
     }
     prepared_quorums_.insert(quorum);
     consulting_ = false;
-    std::vector<sim::Signature> signatures;
-    for (const ProcessId a : quorum) signatures.push_back(ack_signatures_[a]);
-    send_prepare(chosen.value, vproof, std::move(signatures), quorum);  // line 9
+    send_prepare(chosen.value, vproof, quorum);  // line 9
     return true;
   });
 }
@@ -148,12 +146,11 @@ void RqsProposer::on_message(ProcessId from, const sim::Message& m) {
   if (halted_) return;
   switch (m.type()) {
     case NewViewAckMsg::kType: {
-      const auto& ack = static_cast<const NewViewAckMsg&>(m);
+      const SignedNewViewAck& ack = static_cast<const NewViewAckMsg&>(m).ack;
       if (!consulting_ || !config_.acceptors.contains(from)) return;
       // Line 4: only valid acks count.
-      if (!config_.ack_valid(from, ack.data, ack.signature, view_)) return;
-      acks_[from] = ack.data;
-      ack_signatures_[from] = ack.signature;
+      if (!config_.ack_valid(from, ack.payload, ack.signature, view_)) return;
+      acks_[from] = ack;
       try_choose_and_prepare();
       return;
     }
@@ -215,10 +212,10 @@ void RqsProposer::digest_state(Fnv64& h) const {
   h.mix(view_);
   h.mix(consulting_ ? 1 : 0);
   h.mix(acks_.size());
-  for (const auto& [a, data] : acks_) {
+  for (const auto& [a, ack] : acks_) {
     h.mix(a);
-    h.mix(data.view);
-    h.mix(static_cast<std::uint64_t>(data.prep));
+    h.mix(ack.payload.view);
+    h.mix(static_cast<std::uint64_t>(ack.payload.prep));
   }
   h.mix(faulty_.size());
   for (const ProcessSet& q : faulty_) digest_into(h, q);

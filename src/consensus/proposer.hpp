@@ -51,8 +51,7 @@ class RqsProposer : public sim::Process {
  private:
   void run_propose();
   void try_choose_and_prepare();
-  void send_prepare(Value v, const VProof& vproof,
-                    std::vector<sim::Signature> signatures, ProcessSet q);
+  void send_prepare(Value v, const VProof& vproof, ProcessSet q);
   void broadcast_prepare();
   void arm_retry();
   void handle_retry();
@@ -67,8 +66,7 @@ class RqsProposer : public sim::Process {
   std::vector<SignedViewChange> view_proof_;
 
   // Consult phase bookkeeping (for view_).
-  VProof acks_;
-  std::map<ProcessId, sim::Signature> ack_signatures_;
+  std::map<ProcessId, SignedNewViewAck> acks_;
   std::set<ProcessSet> faulty_;  // quorums whose choose() aborted
   std::set<ProcessSet> prepared_quorums_;  // avoid duplicate prepares
   bool consulting_{false};
@@ -88,8 +86,7 @@ class RqsProposer : public sim::Process {
   bool retry_armed_{false};
   std::uint32_t attempt_{0};  // retransmissions within the current view
   Value prepared_value_{kNil};
-  VProof prepared_vproof_;
-  std::vector<sim::Signature> prepared_signatures_;
+  VProof prepared_vproof_;  // Q's ack data; their signatures stay in acks_
   ProcessSet prepared_quorum_;
   bool prepare_sent_{false};
 };

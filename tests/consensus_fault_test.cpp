@@ -229,13 +229,11 @@ TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
   const ProcessId target = 0;
 
   // Capture the genuine new_view_acks on their way to the leader.
-  std::map<ProcessId, std::pair<NewViewAckData, sim::Signature>> acks;
+  std::map<ProcessId, SignedNewViewAck> acks;
   cluster.network().add_rule(
       [&acks](ProcessId from, ProcessId, sim::SimTime, const sim::Message& m)
           -> std::optional<std::optional<sim::SimTime>> {
-        if (const auto* ack = sim::msg_cast<NewViewAckMsg>(m)) {
-          acks[from] = {ack->data, ack->signature};
-        }
+        if (const auto* msg = sim::msg_cast<NewViewAckMsg>(m)) acks[from] = msg->ack;
         return std::nullopt;
       });
 
@@ -264,8 +262,8 @@ TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
     msg->view = 1;
     msg->vproof_quorum = q;
     for (const ProcessId a : q) {
-      NewViewAckData data = acks.at(a).first;
-      sim::Signature signature = acks.at(a).second;
+      NewViewAckData data = acks.at(a).payload;
+      sim::Signature signature = acks.at(a).signature;
       if (proof == Proof::kUnsigned) {
         // A claim that 7 was prepared in view 0, which choose() would
         // accept, under a signature with the right signer and digest that
@@ -277,11 +275,9 @@ TEST(ConsensusFaultTest, PaddedVProofPrepareIsIgnored) {
       msg->vproof[a] = data;
       msg->vproof_signatures.push_back(signature);
     }
-    if (proof == Proof::kPadded) {
-      msg->vproof[target] = acks.at(target).first;  // outside Q
-      msg->vproof_signatures.insert(msg->vproof_signatures.begin(),
-                                    acks.at(target).second);
-    }
+    // The pad is an ack alone: the signatures stay exactly Q's, so only the
+    // vProof's size gives the padding away.
+    if (proof == Proof::kPadded) msg->vproof[target] = acks.at(target).payload;
     return msg;
   };
   // choose() alone would accept the unsigned proof: only its signatures
@@ -307,8 +303,10 @@ TEST(ConsensusFaultTest, ForgedVProofAfterDecisionIsRejected) {
   // and no proposer halts: the acceptors' suspicion timers elect proposer 1
   // for view 1, whose consult runs but whose prepares are all lost. The
   // view-1 leader then sends a prepare for 7 whose vProof holds "fresh"
-  // acks for all four acceptors that no acceptor signed. Acceptors must
-  // reject it: preparing 7 would let L1 learn 7 and break agreement.
+  // acks for all four acceptors that no acceptor signed: first with no
+  // signatures, then with fabricated ones naming the right signer and
+  // digest. Acceptors must reject both: preparing 7 would let L1 learn 7
+  // and break agreement.
   ClusterConfig cfg;
   cfg.proposer_count = 2;
   cfg.learner_count = 2;
@@ -338,17 +336,26 @@ TEST(ConsensusFaultTest, ForgedVProofAfterDecisionIsRejected) {
   }
 
   const ProcessSet everyone = config.acceptors;
-  for (const ProcessId a : everyone) {
-    auto prepare = sim::make_message<PrepareMsg>();
-    prepare->value = 7;
-    prepare->view = 1;
-    prepare->vproof_quorum = everyone;
-    for (const ProcessId b : everyone) prepare->vproof[b].view = 1;
-    sim.deliver_at(sim.now(), leader, a, std::move(prepare));
-  }
-  sim.run(sim.now() + 3 * sim.delta());
-  for (const ProcessId a : everyone) {
-    EXPECT_EQ(cluster.acceptor(a).prepared(), 100) << "acceptor " << a;
+  for (const bool fabricated : {false, true}) {
+    for (const ProcessId a : everyone) {
+      auto prepare = sim::make_message<PrepareMsg>();
+      prepare->value = 7;
+      prepare->view = 1;
+      prepare->vproof_quorum = everyone;
+      for (const ProcessId b : everyone) {
+        NewViewAckData& fresh = prepare->vproof[b];
+        fresh.view = 1;
+        if (fabricated) {
+          prepare->vproof_signatures.push_back(sim::Signature{b, fresh.digest()});
+        }
+      }
+      sim.deliver_at(sim.now(), leader, a, std::move(prepare));
+    }
+    sim.run(sim.now() + 3 * sim.delta());
+    for (const ProcessId a : everyone) {
+      EXPECT_EQ(cluster.acceptor(a).prepared(), 100)
+          << "acceptor " << a << (fabricated ? ", fabricated signatures" : "");
+    }
   }
   if (cluster.learner(1).learned()) {
     EXPECT_EQ(cluster.learner(1).learned_value(), 100);  // agreement
